@@ -24,6 +24,7 @@ import argparse
 import csv
 import json
 import sys
+from contextlib import nullcontext
 from dataclasses import asdict
 from pathlib import Path
 from typing import Optional, Sequence
@@ -34,10 +35,11 @@ from .config import (DEFAULT_BIN_WIDTH_SECONDS, DEFAULT_RECENCY_DECAY,
 from .evaluation import build_eval_sets, combined_index, eval_records, evaluate_sets
 from .graph import DynamicGraph, stats as graph_stats
 from .runner import run_experiment
-from .sample_io import (cache_dir, load_dataset, read_json, read_name_list,
-                        read_samples_jsonl, read_scores_jsonl, read_split_dir,
-                        sample_key, save_graph, write_json, write_registry_json,
-                        write_samples_jsonl, write_scores_jsonl, write_split_dir)
+from .sample_io import (atomic_open, cache_dir, load_dataset, read_json,
+                        read_name_list, read_samples_jsonl, read_scores_jsonl,
+                        read_split_dir, sample_key, save_graph, write_json,
+                        write_registry_json, write_samples_jsonl, write_scores_jsonl,
+                        write_split_dir)
 from .sampling import STRATEGIES, Sample, sample_batches
 from .scorers import SCORER_KINDS, ScorerSpec, make_scorer
 from .split import load_windows_file, make_split, monthly_schedule, window_pairs
@@ -172,7 +174,7 @@ def cmd_evaluate(args) -> int:
     sets = build_eval_sets(split.test, split.train, index, args.seed,
                            loop_eval=args.loop_eval)
     if args.export:
-        with open(args.export, "w", encoding="utf-8") as fh:
+        with atomic_open(args.export) as fh:
             for rec in eval_records(split.test, sets):
                 fh.write(json.dumps(rec, sort_keys=True) + "\n")
     if args.scores:
@@ -229,8 +231,7 @@ def _report_rows(summary: dict):
 
 def cmd_report(args) -> int:
     summary = read_json(Path(args.run_dir) / "summary.json")
-    sink = open(args.out, "w", encoding="utf-8", newline="") if args.out else sys.stdout
-    try:
+    with atomic_open(args.out) if args.out else nullcontext(sys.stdout) as sink:
         if args.format == "json":
             json.dump(summary, sink, indent=2, sort_keys=True)
             sink.write("\n")
@@ -245,9 +246,6 @@ def cmd_report(args) -> int:
             w.writerow(["month", "category", "strategy", "auc"])
             for label, strategy, category, auc_val, *_ in _report_rows(summary):
                 w.writerow([label, category, strategy, auc_val])
-    finally:
-        if args.out:
-            sink.close()
     return 0
 
 

@@ -159,7 +159,7 @@ def build_eval_set(test_positives: EdgeBlock, graph: DynamicGraph,
             tallies["shortfall"] += int(anchor_ts.size)
         else:
             picks = index.pick_loopless(rng, before, anchor_ts.size)
-            exists = index.occurred_many(picks, picks, anchor_ts)
+            exists = index.occurred(picks, picks, anchor_ts)
             for i in range(anchor_ts.size):
                 rl, t = int(picks[i]), int(anchor_ts[i])
                 if exists[i]:
@@ -177,8 +177,8 @@ def build_eval_set(test_positives: EdgeBlock, graph: DynamicGraph,
         in_window = probe <= t_cap
         exists = np.zeros(len(test_positives), dtype=bool)
         if in_window.any():
-            exists[in_window] = index.occurred_many(src[in_window], dst[in_window],
-                                                    probe[in_window])
+            exists[in_window] = index.occurred(src[in_window], dst[in_window],
+                                               probe[in_window])
         for i in range(len(test_positives)):
             if not in_window[i] or exists[i]:
                 tallies["shortfall"] += 1

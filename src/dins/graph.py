@@ -12,6 +12,7 @@ immutable once built and safe to share across threads.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from functools import cached_property
@@ -289,12 +290,19 @@ def batches(graph: DynamicGraph, k: int) -> list[Batch]:
 class HistoryIndex:
     """Occurrence lookups over a fixed edge multiset.
 
-    Edges are regrouped pair-major: ``_pair_keys`` holds the distinct
-    directed pairs (encoded ``src * n + dst``, sorted) and
-    ``_ts_by_pair`` their occurrence bins grouped per pair and sorted
-    within each group. Prior-pair and loop history are kept ordered by
-    first occurrence, so "strictly before t" queries reduce to a binary
-    search plus a prefix length.
+    Edges are regrouped pair-major. ``_pair_keys`` holds the distinct
+    directed pairs, encoded ``src * n + dst`` and sorted; a pair's row is
+    its position there. Row ``r`` owns the block
+    ``_offsets[r]:_offsets[r + 1]`` of ``_ts_by_pair`` (its occurrence
+    bins, ascending) and of ``edge_by_pair`` (their edge positions).
+    A lookup resolves each probe's pair to its row once, searching the
+    probes in ascending key order, and answers every bin question with
+    a binary search inside that row's block; there is no joint
+    (pair, bin) key, so any int64 bin is answered exactly. Callers that
+    ask several questions about the same pairs resolve the rows once
+    with :meth:`pair_rows` and pass them in. Prior-pair and loop history
+    are kept ordered by first occurrence, so "strictly before t" queries
+    reduce to a binary search plus a prefix length.
     """
 
     def __init__(self, src, dst, t, n_nodes: int):
@@ -304,6 +312,8 @@ class HistoryIndex:
         self.n_nodes = int(n_nodes)
         self.n_edges = int(src.size)
         n = max(self.n_nodes, 1)
+        if n * n > 2 ** 63:
+            raise ValueError(f"{n} nodes: pair keys src * n + dst overflow int64")
         self._enc_n = n
 
         key = src * n + dst
@@ -317,25 +327,6 @@ class HistoryIndex:
         # Edge positions in the same pair-major order as _ts_by_pair;
         # edges are sorted by bin, so positions ascend within each pair.
         self._edge_by_pair = order
-
-        # Joint (pair, bin) membership array for vectorized queries.
-        # keys_sorted is pair-major with bins ascending inside each pair,
-        # so key*span + t is globally sorted. Falls back to scalar
-        # lookups if the encoding would overflow int64.
-        if self.n_edges:
-            span = int(self._ts_by_pair.max()) + 1
-            self._span = span
-            if (int(self._pair_keys[-1]) + 1) * span < 2 ** 62:
-                self._combo: Optional[np.ndarray] = keys_sorted * span + self._ts_by_pair
-            else:
-                self._combo = None
-        else:
-            self._span = 1
-            self._combo = _EMPTY_I64
-        # The unchecked fast path may encode pairs that never occur, so
-        # it needs the full n*n key range to fit, not just observed keys.
-        self._fast_ok = (self._combo is not None
-                         and n * n * self._span < 2 ** 62)
 
         # Distinct pairs ordered by first occurrence.
         first_t = (self._ts_by_pair[self._offsets[:-1]]
@@ -363,12 +354,58 @@ class HistoryIndex:
     # -- pair occurrence ------------------------------------------------
 
     def _pair_row(self, u: int, v: int) -> int:
-        key = u * self._enc_n + v
+        """Scalar :meth:`pair_rows`."""
+        n = self.n_nodes
+        if 0 <= u < n and 0 <= v < n:
+            key = u * n + v
+            keys = self._pair_keys
+            i = keys.searchsorted(key)
+            if i < keys.size and keys[i] == key:
+                return i
+        return -1
+
+    def pair_rows(self, us, vs) -> np.ndarray:
+        """Row of each directed pair (us[i], vs[i]); -1 where it never occurs
+        (ids outside ``[0, n_nodes)`` included)."""
+        us = np.asarray(us, dtype=np.int64)
+        vs = np.asarray(vs, dtype=np.int64)
+        rows = np.full(us.size, -1, dtype=np.int64)
         keys = self._pair_keys
-        i = keys.searchsorted(key)
-        if i == keys.size or keys[i] != key:
-            return -1
-        return i
+        if us.size == 0 or keys.size == 0:
+            return rows
+        n = self.n_nodes
+        q = us * n + vs
+        # ascending probes walk the key array once instead of at random
+        order = np.argsort(q)
+        q = q[order]
+        pos = keys.searchsorted(q)
+        np.minimum(pos, keys.size - 1, out=pos)
+        hit = (keys[pos] == q) & ((us >= 0) & (us < n) & (vs >= 0) & (vs < n))[order]
+        rows[order[hit]] = pos[hit]
+        return rows
+
+    def _search(self, lo: np.ndarray, hi: np.ndarray, vals: np.ndarray,
+                right: bool = False) -> np.ndarray:
+        """Per i, the first position in ``[lo[i], hi[i])`` of ``_ts_by_pair``
+        whose bin is >= ``vals[i]`` (> with ``right``); ``hi[i]`` if none.
+
+        One vectorized binary search; each round keeps only the probes
+        whose range is still open, so a long block costs only its own.
+        """
+        ts = self._ts_by_pair
+        out = lo.copy()
+        live = np.flatnonzero(lo < hi)
+        a, b, v = lo[live], hi[live], vals[live]
+        while live.size:
+            mid = (a + b) >> 1
+            up = ts[mid] <= v if right else ts[mid] < v
+            a = np.where(up, mid + 1, a)
+            b = np.where(up, b, mid)
+            done = a == b
+            out[live[done]] = a[done]
+            more = ~done
+            live, a, b, v = live[more], a[more], b[more], v[more]
+        return out
 
     def pair_times(self, u: int, v: int) -> np.ndarray:
         """Sorted bins at which the directed pair occurs (empty if never)."""
@@ -386,128 +423,71 @@ class HistoryIndex:
         """Edge positions aligned with the bounds of :meth:`window_bounds`."""
         return self._edge_by_pair
 
-    def window_bounds(self, us, vs, los, his) -> tuple[np.ndarray, np.ndarray]:
+    def window_bounds(self, us, vs, los, his, rows=None) -> tuple[np.ndarray, np.ndarray]:
         """Where the occurrences of each (u_i, v_i) within [lo_i, hi_i] are kept.
 
         Returns parallel ``starts, stops``: the occurrence bins of row i are
         ``_ts_by_pair[starts[i]:stops[i]]`` and their edge positions are
         ``edge_by_pair[starts[i]:stops[i]]``, both ascending. Rows whose
         pair never occurs, or whose window is empty, get ``starts == stops``.
+        ``his=None`` leaves every window open to the pair's last bin; with
+        ``rows`` from :meth:`pair_rows` given, ``us`` and ``vs`` are not read.
         """
-        us = np.asarray(us, dtype=np.int64)
-        vs = np.asarray(vs, dtype=np.int64)
-        los = np.asarray(los, dtype=np.int64)
-        his = np.asarray(his, dtype=np.int64)
-        k = us.size
-        starts = np.zeros(k, dtype=np.int64)
-        stops = np.zeros(k, dtype=np.int64)
-        if k == 0 or self.n_edges == 0:
-            return starts, stops
-        if self._combo is None:
-            for i in range(k):
-                row = self._pair_row(int(us[i]), int(vs[i]))
-                if row < 0 or los[i] > his[i]:
-                    continue
-                off = self._offsets[row]
-                ts = self._ts_by_pair[off:self._offsets[row + 1]]
-                starts[i] = off + ts.searchsorted(los[i], "left")
-                stops[i] = off + ts.searchsorted(his[i], "right")
-            return starts, stops
-        keys = us * self._enc_n + vs
-        rows = np.minimum(self._pair_keys.searchsorted(keys),
-                          self._pair_keys.size - 1)
-        ok = (self._pair_keys[rows] == keys) & (los <= his) & (his >= 0)
-        base = keys[ok] * self._span
-        # lo clips to span (one past the pair's block) so windows that
-        # start beyond the last bin come back empty, never widened
-        starts[ok] = self._combo.searchsorted(
-            base + np.clip(los[ok], 0, self._span), "left")
-        stops[ok] = self._combo.searchsorted(
-            base + np.clip(his[ok], 0, self._span - 1), "right")
+        if rows is None:
+            rows = self.pair_rows(us, vs)
+        starts = np.zeros(rows.size, dtype=np.int64)
+        stops = np.zeros(rows.size, dtype=np.int64)
+        sel = np.flatnonzero(rows >= 0)
+        r = rows[sel]
+        end = self._offsets[r + 1]
+        first = self._search(self._offsets[r], end, np.asarray(los, dtype=np.int64)[sel])
+        starts[sel] = first
+        if his is None:
+            stops[sel] = end
+        else:
+            # searched from the window's start, so lo > hi comes back empty
+            stops[sel] = self._search(first, end, np.asarray(his, dtype=np.int64)[sel], True)
         return starts, stops
-
-    def window_slices(self, us, vs, los, his) -> list[np.ndarray]:
-        """Occurrence bins of each (u_i, v_i) within [lo_i, hi_i], per row.
-
-        Returns one sorted (possibly repeating) bin array per input row;
-        pairs that never occur inside their window yield empty arrays.
-        """
-        starts, stops = self.window_bounds(us, vs, los, his)
-        ts = self._ts_by_pair
-        return [ts[a:b] for a, b in zip(starts.tolist(), stops.tolist())]
 
     def has_pair(self, u: int, v: int) -> bool:
         return self._pair_row(u, v) >= 0
 
     def pair_occurred(self, u: int, v: int, t: int) -> bool:
         """True iff the directed edge (u, v, t) is in the multiset."""
-        if self._fast_ok and 0 <= u < self.n_nodes and 0 <= v < self.n_nodes:
-            if not 0 <= t < self._span:
-                return False
-            key = (u * self._enc_n + v) * self._span + t
-            i = self._combo.searchsorted(key)
-            return i < self._combo.size and self._combo[i] == key
-        ts = self.pair_times(u, v)
-        j = ts.searchsorted(t)
-        return j < ts.size and ts[j] == t
-
-    def pair_occurred_before(self, u: int, v: int, t: int) -> bool:
-        """True iff (u, v) occurs at some bin strictly before ``t``."""
-        ts = self.pair_times(u, v)
-        return ts.size > 0 and int(ts[0]) < t
+        i = self._pair_row(u, v)
+        if i < 0:
+            return False
+        hi = self._offsets[i + 1]
+        ts = self._ts_by_pair
+        j = bisect_left(ts, t, self._offsets[i], hi)
+        return j < hi and ts[j] == t
 
     def last_occurrence_at_or_before(self, u: int, v: int, t: int) -> Optional[int]:
         ts = self.pair_times(u, v)
         j = int(np.searchsorted(ts, t, side="right"))
         return int(ts[j - 1]) if j else None
 
-    def occurred_fast(self, us: np.ndarray, vs: np.ndarray,
-                      ts: np.ndarray) -> np.ndarray:
-        """:meth:`occurred_many` for trusted inputs on the hot path.
+    def occurred(self, us, vs, ts, rows=None) -> np.ndarray:
+        """True where the directed edge (us[i], vs[i], ts[i]) is in the multiset.
 
-        Callers must pass int64 arrays with node ids in [0, n) and bins
-        in [0, span); falls back to the checked variant when the joint
-        encoding cannot cover the full key range.
+        Exact for any int64 bin. With ``rows`` from :meth:`pair_rows`
+        given, ``us`` and ``vs`` are not read.
         """
-        if not self._fast_ok or self.n_edges == 0:
-            return self.occurred_many(us, vs, ts)
-        keys = (us * self._enc_n + vs) * self._span + ts
-        pos = self._combo.searchsorted(keys)
-        np.minimum(pos, self._combo.size - 1, out=pos)
-        return self._combo[pos] == keys
-
-    def occurred_many(self, us, vs, ts) -> np.ndarray:
-        """Vectorized :meth:`pair_occurred` over parallel arrays."""
-        us = np.asarray(us, dtype=np.int64)
-        vs = np.asarray(vs, dtype=np.int64)
+        if rows is None:
+            rows = self.pair_rows(us, vs)
         ts = np.asarray(ts, dtype=np.int64)
-        out = np.zeros(us.size, dtype=bool)
-        if us.size == 0 or self.n_edges == 0:
-            return out
-        if self._combo is not None:
-            valid = (ts >= 0) & (ts < self._span)
-            if not valid.any():
-                return out
-            q = ((us[valid] * self._enc_n + vs[valid]) * self._span + ts[valid])
-            pos = np.searchsorted(self._combo, q)
-            safe = np.minimum(pos, self._combo.size - 1)
-            out[valid] = (pos < self._combo.size) & (self._combo[safe] == q)
-            return out
-        for i in range(us.size):
-            out[i] = self.pair_occurred(int(us[i]), int(vs[i]), int(ts[i]))
+        out = np.zeros(rows.size, dtype=bool)
+        known = np.flatnonzero(rows >= 0)
+        r, t = rows[known], ts[known]
+        end = self._offsets[r + 1]
+        pos = self._search(self._offsets[r], end, t)
+        inside = pos < end
+        out[known[inside]] = self._ts_by_pair[pos[inside]] == t[inside]
         return out
 
     def pairs_exist(self, us, vs) -> np.ndarray:
         """Vectorized :meth:`has_pair` over parallel arrays."""
-        us = np.asarray(us, dtype=np.int64)
-        vs = np.asarray(vs, dtype=np.int64)
-        out = np.zeros(us.size, dtype=bool)
-        if us.size == 0 or self._pair_keys.size == 0:
-            return out
-        keys = us * self._enc_n + vs
-        pos = np.searchsorted(self._pair_keys, keys)
-        safe = np.minimum(pos, self._pair_keys.size - 1)
-        return (pos < self._pair_keys.size) & (self._pair_keys[safe] == keys)
+        return self.pair_rows(us, vs) >= 0
 
     # -- prior pairs (for the historical baseline) ----------------------
 
@@ -530,12 +510,6 @@ class HistoryIndex:
         """Size of the pool of nodes with no self-loop strictly before ``before_t``."""
         j = int(self._loop_first_t.searchsorted(before_t))
         return int(self._never_looped.size + (self._loop_first_t.size - j))
-
-    def loopless_nodes(self, before_t: int) -> np.ndarray:
-        """Nodes with no self-loop strictly before ``before_t``, ascending."""
-        j = int(np.searchsorted(self._loop_first_t, before_t, side="left"))
-        return np.sort(np.concatenate([self._never_looped,
-                                       self._loop_nodes_by_first[j:]]))
 
     def loopless_counts(self, before_ts) -> np.ndarray:
         """Vectorized :meth:`loopless_count`."""

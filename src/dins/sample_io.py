@@ -21,6 +21,7 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
+import math
 import os
 import tempfile
 from contextlib import contextmanager
@@ -149,6 +150,9 @@ def write_scores_jsonl(path: PathLike, scores: Mapping[str, float]) -> None:
 
 
 def read_scores_jsonl(path: PathLike) -> dict[str, float]:
+    """Key -> score. Scores must be finite, and a key may repeat only
+    with the same score: a NaN would rank as a group of its own, and a
+    silently replaced score would change the report."""
     out: dict[str, float] = {}
     with open(path, "r", encoding="utf-8") as fh:
         for i, line in enumerate(fh, start=1):
@@ -157,10 +161,19 @@ def read_scores_jsonl(path: PathLike) -> dict[str, float]:
                 continue
             try:
                 rec = json.loads(line)
-                out[str(rec["key"])] = float(rec["score"])
+                key = str(rec["key"])
+                score = float(rec["score"])
             except (json.JSONDecodeError, KeyError, TypeError, ValueError):
                 raise IngestError(f"{path}: line {i}: expected "
                                   '{"key": ..., "score": ...}') from None
+            first = out.setdefault(key, score)
+            # only a finite score lies strictly between the infinities
+            # (NaN compares false), so a valid line costs two comparisons
+            if first != score or not -math.inf < score < math.inf:
+                problem = (f"score of key {key!r} is not finite ({score})"
+                           if not math.isfinite(score) else
+                           f"key {key!r} repeats with score {score}, earlier {first}")
+                raise IngestError(f"{path}: line {i}: {problem}")
     return out
 
 

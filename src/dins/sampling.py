@@ -29,7 +29,7 @@ from __future__ import annotations
 import gc
 from collections import Counter
 from dataclasses import dataclass, field
-from functools import partial
+from functools import cached_property, partial
 from itertools import repeat
 from typing import Iterator, NamedTuple
 
@@ -328,9 +328,9 @@ def _replacement_column(draws: _Calls, group: np.ndarray, index: HistoryIndex,
     r = np.full(src.size, -1, dtype=np.int64)
     r[rows] = x
     if replace_dst:
-        hit = index.occurred_fast(src[rows], x, ts[rows])
+        hit = index.occurred(src[rows], x, ts[rows])
     else:
-        hit = index.occurred_fast(x, dst[rows], ts[rows])
+        hit = index.occurred(x, dst[rows], ts[rows])
     for i in np.sort(rows[hit]).tolist():
         r[i] = _redraw_nonedge(draws.draw(int(group[i])), index, n,
                                int(src[i]), int(dst[i]), int(ts[i]), replace_dst, cap)
@@ -389,6 +389,11 @@ class _Run:
         self.t_min = self.t[self.first]
         self.t_max = self.t[self.first + self.sizes - 1]
 
+    @cached_property
+    def rows(self) -> np.ndarray:
+        """The index row of each edge's pair, resolved once per run."""
+        return self.idx.pair_rows(self.src, self.dst)
+
     def replacements(self, replace_dst: bool, cap: int) -> np.ndarray:
         """A replaced receiver (or sender) per edge, -1 where skipped."""
         return _replacement_column(self.draws, self.bid, self.idx, self.graph.n,
@@ -403,11 +408,11 @@ class _Run:
         the edge, then, for edges still short, in rounds of integer
         draws under the retry cap.
         """
-        idx, src, dst, t = self.idx, self.src, self.dst, self.t
+        idx, rows, t = self.idx, self.rows, self.t
         u01 = self.draws.uniforms(q * self.sizes)
         hi = np.minimum(t + t_f, self.t_max[self.bid])
         width = hi - t + 1
-        starts, stops = idx.window_bounds(src, dst, t, hi)
+        starts, stops = idx.window_bounds(None, None, t, hi, rows=rows)
         # rejection is certain where more than q bins stay free even if
         # every occurrence in the window takes a bin of its own
         rejection = width - (stops - starts) > q
@@ -419,7 +424,7 @@ class _Run:
         for part in np.split(amb, cuts):
             e = np.repeat(part, width[part])
             tn = t[e] + _rank_in_group(e)
-            free = ~idx.occurred_fast(src[e], dst[e], tn)
+            free = ~idx.occurred(None, None, tn, rows=rows[e])
             avail = np.bincount(e[free], minlength=t.size)
             keep = free & (avail[e] <= q)
             edges.append(e[keep])
@@ -429,8 +434,8 @@ class _Run:
         rej = np.flatnonzero(rejection)
         if rej.size:
             cand = t[rej, None] + (u01.reshape(-1, q)[rej] * width[rej, None]).astype(np.int64)
-            taken = idx.occurred_fast(np.repeat(src[rej], q), np.repeat(dst[rej], q),
-                                      cand.ravel()).reshape(cand.shape)
+            taken = idx.occurred(None, None, cand.ravel(),
+                                 rows=np.repeat(rows[rej], q)).reshape(cand.shape)
             # a repeated candidate counts once, at its first draw
             order = np.argsort(cand, axis=1, kind="stable")
             ranked = np.take_along_axis(cand, order, axis=1)
@@ -508,7 +513,7 @@ class _Run:
             ranks = self.draws.ints((n_ts * (totals > 0))[:, None], totals[:, None])
             rows = np.flatnonzero(totals[tb] > 0)
             nodes[rows] = idx.loopless_picks(self.t_min[tb[rows]], ranks)
-            hit = idx.occurred_fast(nodes[rows], nodes[rows], ts[rows])
+            hit = idx.occurred(nodes[rows], nodes[rows], ts[rows])
             for j in rows[hit].tolist():
                 b = int(tb[j])
                 nodes[j] = _retry_loop_pick(idx, self.draws.draw(b), int(self.t_min[b]),
@@ -535,13 +540,13 @@ class _Run:
         "Later" means a bin strictly after the batch's last bin. Returns
         (batch, slot, edge position), in edge order within each batch.
         """
-        o = np.lexsort((self.dst, self.src, self.bid))
-        s, d, b = self.src[o], self.dst[o], self.bid[o]
+        o = np.lexsort((self.rows, self.bid))
+        r, b = self.rows[o], self.bid[o]
         first = np.ones(o.size, dtype=bool)
-        first[1:] = (s[1:] != s[:-1]) | (d[1:] != d[:-1]) | (b[1:] != b[:-1])
-        s, d, b = s[first], d[first], b[first]
-        starts, stops = self.idx.window_bounds(
-            s, d, self.t_max[b] + 1, np.full(b.size, self.graph.t_max))
+        first[1:] = (r[1:] != r[:-1]) | (b[1:] != b[:-1])
+        r, b = r[first], b[first]
+        # the window runs to the graph's last bin: to the end of each block
+        starts, stops = self.idx.window_bounds(None, None, self.t_max[b] + 1, None, rows=r)
         counts = np.minimum(stops - starts, k)
         by_pair, m = self.idx.edge_by_pair, self.graph.m
         if counts.sum() <= _BUDGET:

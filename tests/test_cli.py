@@ -92,6 +92,27 @@ def test_scores_jsonl_roundtrip_and_errors(tmp_path):
         read_scores_jsonl(path)
 
 
+@pytest.mark.parametrize("bad", ["NaN", "Infinity", "-Infinity", '"nan"'])
+def test_scores_jsonl_rejects_non_finite_scores(tmp_path, bad):
+    # a NaN ranks as its own group: one NaN positive against one NaN
+    # negative would read AUC 0.0, not 0.5
+    path = tmp_path / "scores.jsonl"
+    path.write_text('{"key": "aa", "score": 0.5}\n'
+                    f'{{"key": "bb", "score": {bad}}}\n')
+    with pytest.raises(IngestError, match="line 2.*'bb'.*not finite"):
+        read_scores_jsonl(path)
+
+
+def test_scores_jsonl_rejects_conflicting_duplicate_keys(tmp_path):
+    path = tmp_path / "scores.jsonl"
+    path.write_text('{"key": "aa", "score": 0.5}\n{"key": "bb", "score": 1}\n'
+                    '{"key": "aa", "score": 0.5}\n')
+    assert read_scores_jsonl(path) == {"aa": 0.5, "bb": 1.0}   # equal repeats are fine
+    path.write_text('{"key": "aa", "score": 0.5}\n{"key": "aa", "score": 0.25}\n')
+    with pytest.raises(IngestError, match="line 2.*'aa'.*0.25.*0.5"):
+        read_scores_jsonl(path)
+
+
 def test_graph_npz_roundtrip(tmp_path):
     g = build_graph([("a", "b", 17), ("b", "b", 451), ("c", "a", 1000)],
                     bin_width_seconds=60)
@@ -244,6 +265,41 @@ def test_run_and_report(months_csv, tmp_path):
     rows = list(csv.reader(io.StringIO(out)))
     assert rows[0] == ["month", "category", "strategy", "auc"]
     assert len(rows) == 1 + 2 * 7
+
+
+def _fail_after_first(items):
+    """Yield the first item, then fail as a write midway would."""
+    def gen(*args, **kwargs):
+        yield next(iter(items(*args, **kwargs)))
+        raise OSError("disk full")
+    return gen
+
+
+def test_cli_writes_are_atomic(months_csv, tmp_path, monkeypatch):
+    # evaluate --export and report --out keep an earlier file whole when a
+    # later write fails midway, and leave no temp file beside it
+    out_dir = tmp_path / "splits"
+    cli_json("split", str(months_csv), "--out-dir", str(out_dir))
+    run_dir = tmp_path / "run"
+    cli_json("run", str(months_csv), "--out-dir", str(run_dir), "--batch-size", "64")
+    (tmp_path / "out").mkdir()
+    export, report = tmp_path / "out" / "eval.jsonl", tmp_path / "out" / "report.csv"
+    cli_json("evaluate", "--split-dir", str(out_dir / "2021-01"), "--export", str(export))
+    assert run_cli("report", "--run-dir", str(run_dir), "--format", "csv",
+                   "--out", str(report))[0] == 0
+    before = {p: p.read_bytes() for p in (export, report)}
+
+    import dins.cli
+    monkeypatch.setattr(dins.cli, "eval_records", _fail_after_first(dins.cli.eval_records))
+    monkeypatch.setattr(dins.cli, "_report_rows", _fail_after_first(dins.cli._report_rows))
+    code, _, err = run_cli("evaluate", "--split-dir", str(out_dir / "2021-01"),
+                           "--export", str(export))
+    assert code == 1 and "disk full" in err
+    code, _, err = run_cli("report", "--run-dir", str(run_dir), "--format", "csv",
+                           "--out", str(report))
+    assert code == 1 and "disk full" in err
+    assert {p: p.read_bytes() for p in (export, report)} == before
+    assert sorted(p.name for p in export.parent.iterdir()) == ["eval.jsonl", "report.csv"]
 
 
 def test_run_config_file_equivalence(months_csv, tmp_path):

@@ -196,7 +196,8 @@ def test_history_index_matches_oracles(g):
     for u, v in list(times)[:10]:
         for t in t_probe:
             assert idx.pair_occurred(u, v, t) == ((u, v, t) in triples)
-            assert idx.pair_occurred_before(u, v, t) == any(x < t for x in times[(u, v)])
+            start, stop = idx.window_bounds([u], [v], [t_probe[0]], [t - 1])
+            assert (stop[0] > start[0]) == any(x < t for x in times[(u, v)])
             expect_last = max((x for x in times[(u, v)] if x <= t), default=None)
             assert idx.last_occurrence_at_or_before(u, v, t) == expect_last
 
@@ -205,17 +206,12 @@ def test_history_index_matches_oracles(g):
     for (u, v) in times:
         for t in t_probe:
             us.append(u); vs.append(v); tq.append(t)
-    got = idx.occurred_many(np.array(us), np.array(vs), np.array(tq))
+    got = idx.occurred(np.array(us), np.array(vs), np.array(tq))
     want = np.array([(u, v, t) in triples for u, v, t in zip(us, vs, tq)])
     assert np.array_equal(got, want)
-    # the trusted fast variant must agree wherever its input contract holds
-    in_range = [i for i, t in enumerate(tq) if 0 <= t < idx._span]
-    if in_range:
-        fast = idx.occurred_fast(
-            np.array([us[i] for i in in_range], dtype=np.int64),
-            np.array([vs[i] for i in in_range], dtype=np.int64),
-            np.array([tq[i] for i in in_range], dtype=np.int64))
-        assert np.array_equal(fast, want[in_range])
+    # and so it does with the pair rows resolved beforehand
+    rows = idx.pair_rows(np.array(us), np.array(vs))
+    assert np.array_equal(idx.occurred(None, None, np.array(tq), rows=rows), want)
 
     # per-row window slices agree with slicing the oracle's time lists
     pairs = list(times)
@@ -223,10 +219,10 @@ def test_history_index_matches_oracles(g):
     w_vs = np.array([p[1] for p in pairs], dtype=np.int64)
     w_lo = np.array([tp % 4 for tp in range(len(pairs))], dtype=np.int64)
     w_hi = w_lo + np.array([tp % 7 for tp in range(len(pairs))], dtype=np.int64)
-    slices = idx.window_slices(w_us, w_vs, w_lo, w_hi)
+    starts, stops = idx.window_bounds(w_us, w_vs, w_lo, w_hi)
     for i, (u, v) in enumerate(pairs):
         expect = [x for x in times[(u, v)] if w_lo[i] <= x <= w_hi[i]]
-        assert slices[i].tolist() == expect
+        assert idx._ts_by_pair[starts[i]:stops[i]].tolist() == expect
 
     # prior distinct pairs strictly before t
     for t in t_probe:
@@ -239,8 +235,10 @@ def test_history_index_matches_oracles(g):
     for t in t_probe:
         want_nodes = {u for u in range(g.n)
                       if u not in loops or loops[u] >= t}
-        assert idx.loopless_count(t) == len(want_nodes)
-        assert set(idx.loopless_nodes(t).tolist()) == want_nodes
+        count = idx.loopless_count(t)
+        assert count == len(want_nodes)
+        pool = idx.loopless_picks(np.full(count, t), np.arange(count)).tolist()
+        assert len(pool) == count and set(pool) == want_nodes
         if want_nodes:
             picks = idx.pick_loopless(derive_rng(1, t + 1), t, 64)
             assert set(picks.tolist()) <= want_nodes
@@ -254,17 +252,71 @@ def test_history_index_prior_counts_vectorized(tiny_graph):
     assert np.array_equal(got, want)
 
 
-def test_history_index_huge_ids_fall_back():
-    # (pair, bin) products beyond the fast-path guard still answer correctly
+def test_history_index_huge_ids_and_bins():
+    # pair keys near n**2 and bins past 2**31 answer like any others
     n = 2**20
     src = np.array([5, n - 2], dtype=np.int64)
     dst = np.array([7, n - 3], dtype=np.int64)
     t = np.array([0, 2**31], dtype=np.int64)
     idx = HistoryIndex(src, dst, t, n)
-    assert idx._combo is None  # encoding declined, scalar path in use
     assert idx.pair_occurred(5, 7, 0)
     assert not idx.pair_occurred(5, 7, 1)
     assert idx.pair_occurred(n - 2, n - 3, 2**31)
-    got = idx.occurred_many(src, dst, np.array([0, 2**31]))
+    got = idx.occurred(src, dst, np.array([0, 2**31]))
     assert got.tolist() == [True, True]
-    assert not idx.occurred_many(src, dst, np.array([1, 1])).any()
+    assert not idx.occurred(src, dst, np.array([1, 1])).any()
+
+
+_I64 = np.iinfo(np.int64)
+
+
+@st.composite
+def dense_histories(draw):
+    """2-6 nodes with long pair blocks, optionally at ids near 2**20 and
+    bins past 2**31; one edge always repeats at its own bin. Probes reach
+    one id past either end and bins far outside the span."""
+    k = draw(st.integers(2, 6))
+    id0 = draw(st.sampled_from([0, 2**20 - 6]))
+    t0 = draw(st.sampled_from([0, 2**31 + 5, 2**40]))
+    edges = draw(st.lists(st.tuples(st.integers(0, k - 1), st.integers(0, k - 1),
+                                    st.integers(0, 12)), min_size=1, max_size=40))
+    edges.append(edges[0])
+    edges.sort(key=lambda e: e[2])                # edge lists are sorted by bin
+    src, dst, t = (np.array(c, dtype=np.int64) for c in zip(*edges))
+    near = st.integers(-3, 15).map(lambda x: t0 + x)
+    bins = st.one_of(near, st.sampled_from([_I64.min, -1, 0, _I64.max]))
+    node = st.integers(-1, k).map(lambda x: id0 + x)      # one past each end too
+    probes = draw(st.lists(st.tuples(node, node, bins, bins), min_size=1, max_size=30))
+    return id0 + k, id0 + src, id0 + dst, t0 + t, probes
+
+
+@given(dense_histories())
+@settings(max_examples=150, deadline=None)
+def test_pair_row_lookups_match_brute_force(case):
+    n, src, dst, t, probes = case
+    idx = HistoryIndex(src, dst, t, n)
+    edges = list(zip(src.tolist(), dst.tolist(), t.tolist()))
+    us, vs, los, his = (np.array(c, dtype=np.int64) for c in zip(*probes))
+    rows = idx.pair_rows(us, vs)
+
+    want = [(u, v, b) in edges for u, v, b, _ in probes]
+    assert idx.occurred(us, vs, los).tolist() == want
+    assert idx.occurred(None, None, los, rows=rows).tolist() == want
+    assert [idx.pair_occurred(u, v, b) for u, v, b, _ in probes] == want
+
+    for given_rows in (None, rows):
+        starts, stops = idx.window_bounds(us, vs, los, his, rows=given_rows)
+        open_starts, ends = idx.window_bounds(us, vs, los, None, rows=given_rows)
+        for i, (u, v, lo, hi) in enumerate(probes):
+            inside = [e for e, (a, b, x) in enumerate(edges)
+                      if (a, b) == (u, v) and lo <= x <= hi]
+            assert stops[i] - starts[i] == len(inside)            # never negative
+            assert idx.edge_by_pair[starts[i]:stops[i]].tolist() == inside
+            later = [e for e, (a, b, x) in enumerate(edges) if (a, b) == (u, v) and x >= lo]
+            assert idx.edge_by_pair[open_starts[i]:ends[i]].tolist() == later
+            assert idx._ts_by_pair[open_starts[i]:ends[i]].tolist() == [t[e] for e in later]
+
+
+def test_history_index_rejects_overflowing_pair_keys():
+    with pytest.raises(ValueError, match="overflow"):
+        HistoryIndex(np.zeros(0), np.zeros(0), np.zeros(0), 2**32)
