@@ -13,8 +13,8 @@ from .evaluation import (EVAL_CATEGORIES, EVAL_NEGATIVE_CATEGORIES, H_OFFSETS,
                          CategoryResult, EvalReport, MissingScoresError,
                          ScoredSample, UndefinedMetricError, auc,
                          build_eval_set, build_eval_sets, combined_index,
-                         evaluate, evaluate_sets)
-from .graph import (Batch, DynamicGraph, Edge, EdgeBlock, GraphStats,
+                         evaluate_sets)
+from .graph import (Batch, DynamicGraph, EdgeBlock, GraphStats,
                     HistoryIndex, IngestError, NodeRegistry, batches,
                     build_graph, stats, subgraph)
 from .runner import average_ranks, process_split, run_experiment
@@ -39,7 +39,7 @@ __all__ = [
     "DEFAULT_BIN_WIDTH_SECONDS", "DEFAULT_RECENCY_DECAY", "PipelineConfig",
     "SamplerConfig", "derive_rng",
     # graph
-    "Batch", "DynamicGraph", "Edge", "EdgeBlock", "GraphStats", "HistoryIndex",
+    "Batch", "DynamicGraph", "EdgeBlock", "GraphStats", "HistoryIndex",
     "IngestError", "NodeRegistry", "batches", "build_graph", "stats", "subgraph",
     # sampling
     "CATEGORIES", "NEG", "POS", "STRATEGIES", "Sample", "SampleSet",
@@ -53,7 +53,7 @@ __all__ = [
     "EVAL_CATEGORIES", "EVAL_NEGATIVE_CATEGORIES", "H_OFFSETS",
     "CategoryResult", "EvalReport", "MissingScoresError", "ScoredSample",
     "UndefinedMetricError", "auc", "build_eval_set", "build_eval_sets",
-    "combined_index", "evaluate", "evaluate_sets",
+    "combined_index", "evaluate_sets",
     # scorers
     "SCORER_KINDS", "ScorerSpec", "make_scorer",
     # io

@@ -25,24 +25,22 @@ import csv
 import json
 import sys
 from contextlib import nullcontext
-from dataclasses import asdict
+from dataclasses import asdict, fields
 from pathlib import Path
 from typing import Optional, Sequence
 
 from . import __version__
-from .config import (DEFAULT_BIN_WIDTH_SECONDS, DEFAULT_RECENCY_DECAY,
-                     PipelineConfig, SamplerConfig)
+from .config import VALID_LOOP_EVAL, VALID_LOOP_POOL, PipelineConfig
 from .evaluation import build_eval_sets, combined_index, eval_records, evaluate_sets
-from .graph import DynamicGraph, stats as graph_stats
-from .runner import run_experiment
-from .sample_io import (atomic_open, cache_dir, load_dataset, read_json,
-                        read_name_list, read_samples_jsonl, read_scores_jsonl,
-                        read_split_dir, sample_key, save_graph, write_json,
-                        write_registry_json, write_samples_jsonl, write_scores_jsonl,
-                        write_split_dir)
+from .graph import stats as graph_stats
+from .runner import load_configured, run_experiment, window_schedule
+from .sample_io import (atomic_open, cache_dir, read_json, read_samples_jsonl,
+                        read_scores_jsonl, read_split_dir, sample_key, save_graph,
+                        write_json, write_registry_json, write_samples_jsonl,
+                        write_scores_jsonl, write_split_dir)
 from .sampling import STRATEGIES, Sample, sample_batches
 from .scorers import SCORER_KINDS, ScorerSpec, make_scorer
-from .split import load_windows_file, make_split, monthly_schedule, window_pairs
+from .split import make_split
 
 PROG = "dins"
 
@@ -66,16 +64,6 @@ def _strategies(text: str) -> tuple[str, ...]:
     return parts
 
 
-def _load_graph(path: str, args) -> DynamicGraph:
-    drop = read_name_list(args.drop_users) if getattr(args, "drop_users", None) else ()
-    return load_dataset(path,
-                        bin_width_seconds=getattr(args, "bin_width",
-                                                  DEFAULT_BIN_WIDTH_SECONDS),
-                        columns=getattr(args, "columns", ("src", "dst", "timestamp")),
-                        drop_names=drop,
-                        min_month_edges=getattr(args, "min_month_edges", 0))
-
-
 def _emit(obj) -> None:
     json.dump(obj, sys.stdout, indent=2, sort_keys=True)
     sys.stdout.write("\n")
@@ -85,7 +73,7 @@ def _emit(obj) -> None:
 
 
 def cmd_ingest(args) -> int:
-    graph = _load_graph(args.dataset, args)
+    graph = load_configured(PipelineConfig.from_dict(vars(args)))
     out = Path(args.out) if args.out else cache_dir() / (Path(args.dataset).stem + ".npz")
     save_graph(out, graph)
     _emit({"path": str(out), "n_nodes": graph.n, "n_edges": graph.m,
@@ -94,25 +82,20 @@ def cmd_ingest(args) -> int:
 
 
 def cmd_stats(args) -> int:
-    graph = _load_graph(args.dataset, args)
+    graph = load_configured(PipelineConfig.from_dict(vars(args)))
     _emit(asdict(graph_stats(graph)))
     return 0
 
 
 def cmd_split(args) -> int:
-    graph = _load_graph(args.dataset, args)
-    if args.windows == "monthly":
-        schedule = monthly_schedule(graph)
-    else:
-        schedule = monthly_schedule(graph, custom_windows=load_windows_file(args.windows))
-    pairs = window_pairs(schedule)
-    if not pairs:
-        raise ValueError("need at least two windows to form a (train, eval) pair")
+    config = PipelineConfig.from_dict(vars(args))
+    graph = load_configured(config)
+    _, pairs = window_schedule(graph, config.windows)
     out_dir = Path(args.out_dir)
     written = []
     for train_w, eval_w in pairs:
         try:
-            split = make_split(graph, train_w, eval_w, val_fraction=args.val_fraction)
+            split = make_split(graph, train_w, eval_w, val_fraction=config.val_fraction)
         except ValueError as exc:
             written.append({"label": train_w.label, "skipped": str(exc)})
             continue
@@ -126,33 +109,35 @@ def cmd_split(args) -> int:
 
 
 def cmd_sample(args) -> int:
-    graph = _load_graph(args.dataset, args)
-    config = SamplerConfig(q=args.q, t_f=args.tf, k=args.batch_size,
-                           seed=args.seed)
-    stream = sample_batches(graph, args.strategy, config,
-                            pool_mode=args.loop_pool,
+    config = PipelineConfig.from_dict(vars(args))
+    graph = load_configured(config)
+    sampler = config.sampler()
+    stream = sample_batches(graph, args.strategy, sampler,
+                            pool_mode=config.loop_pool,
                             include_positives=not args.negatives_only)
     out = Path(args.out)
     result = write_samples_jsonl(out, stream, with_keys=args.with_keys)
     sidecar_base = out.parent / out.stem
     write_registry_json(Path(f"{sidecar_base}.nodes.json"), graph.registry)
     meta = {"dataset": args.dataset, "strategy": args.strategy,
-            "loop_pool": args.loop_pool,
-            "config": {"q": config.q, "t_f": config.t_f, "k": config.k,
-                       "seed": config.seed}, **result}
+            "loop_pool": config.loop_pool,
+            "config": {"q": sampler.q, "t_f": sampler.t_f, "k": sampler.k,
+                       "seed": sampler.seed}, **result}
     write_json(Path(f"{sidecar_base}.meta.json"), meta)
     _emit({"path": str(out), **result})
     return 0
 
 
 def cmd_score(args) -> int:
-    spec = ScorerSpec(kind=args.scorer, lam=args.decay, seed=args.seed)
+    config = PipelineConfig.from_dict(vars(args))
+    spec = ScorerSpec(kind=config.scorer, lam=config.scorer_lambda,
+                      seed=config.scorer_seed)
     index = None
     if spec.kind in ("memory", "recency"):
-        if not args.train:
+        if not config.dataset:
             raise ValueError(f"scorer {spec.kind!r} needs --train "
                              "(training edges define its history)")
-        index = _load_graph(args.train, args).history
+        index = load_configured(config).history
     scorer = make_scorer(spec, index=index)
     records = read_samples_jsonl(args.samples)
     scores: dict[str, float] = {}
@@ -181,7 +166,7 @@ def cmd_evaluate(args) -> int:
         scorer = read_scores_jsonl(args.scores)
         strategy = args.strategy_label or "external"
     else:
-        spec = ScorerSpec(kind=args.scorer, lam=args.decay, seed=args.scorer_seed)
+        spec = ScorerSpec(kind=args.scorer, lam=args.scorer_lambda, seed=args.scorer_seed)
         index_train = split.train.history if spec.kind in ("memory", "recency") else None
         scorer = make_scorer(spec, index=index_train)
         strategy = args.strategy_label or args.scorer
@@ -194,26 +179,12 @@ def cmd_evaluate(args) -> int:
     return 0
 
 
-def _pipeline_config(args) -> PipelineConfig:
-    if args.config:
-        if args.dataset:
-            raise ValueError("give either a dataset argument or --config, not both")
-        return PipelineConfig.from_dict(read_json(args.config))
-    if not args.dataset:
-        raise ValueError("a dataset path (or --config) is required")
-    return PipelineConfig(
-        dataset=args.dataset, bin_width_seconds=args.bin_width,
-        batch_size=args.batch_size, q=args.q, t_f=args.tf, seed=args.seed,
-        windows=args.windows, val_fraction=args.val_fraction,
-        loop_pool=args.loop_pool, loop_eval=args.loop_eval,
-        strategies=args.strategies, scorer=args.scorer,
-        scorer_lambda=args.decay, scorer_seed=args.scorer_seed,
-        scores_dir=args.scores_dir, columns=args.columns,
-        drop_users=args.drop_users, min_month_edges=args.min_month_edges)
-
-
 def cmd_run(args) -> int:
-    config = _pipeline_config(args)
+    if args.config and args.dataset:
+        raise ValueError("give either a dataset argument or --config, not both")
+    if not (args.config or args.dataset):
+        raise ValueError("a dataset path (or --config) is required")
+    config = PipelineConfig.from_dict(read_json(args.config) if args.config else vars(args))
     summary = run_experiment(config, args.out_dir, jobs=args.jobs)
     statuses = {o["label"]: o["status"] for o in summary["splits"]}
     _emit({"out_dir": args.out_dir, "n_splits": len(summary["splits"]),
@@ -252,15 +223,47 @@ def cmd_report(args) -> int:
 # -- parser -------------------------------------------------------------------
 
 
-def _add_csv_opts(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--bin-width", type=int, default=DEFAULT_BIN_WIDTH_SECONDS,
-                   metavar="SECONDS", help="time-bin width (default 300 = 5 min)")
-    p.add_argument("--columns", type=_columns, default=("src", "dst", "timestamp"),
-                   metavar="SRC,DST,TS", help="CSV header names to read")
-    p.add_argument("--drop-users", metavar="FILE",
-                   help="file of node names to drop (one per line)")
-    p.add_argument("--min-month-edges", type=int, default=0, metavar="N",
-                   help="drop UTC months with fewer than N edges")
+_DEFAULTS = {f.name: f.default for f in fields(PipelineConfig)}
+
+# Flags that set a PipelineConfig field: each dest is the field's name
+# (the flag's own name unless given) and each default the field's default.
+_OPTIONS = {
+    "--bin-width": dict(dest="bin_width_seconds", type=int, metavar="SECONDS",
+                        help="time-bin width in seconds (default %(default)s)"),
+    "--columns": dict(type=_columns, metavar="SRC,DST,TS",
+                      help="CSV header names to read"),
+    "--drop-users": dict(metavar="FILE", help="file of node names to drop (one per line)"),
+    "--min-month-edges": dict(type=int, metavar="N",
+                              help="drop UTC months with fewer than N edges"),
+    "--windows": dict(metavar="monthly|FILE.json",
+                      help="window schedule (default: UTC calendar months)"),
+    "--val-fraction": dict(type=float, metavar="F", help="leading fraction of each "
+                           "eval window used for validation"),
+    "--strategies": dict(type=_strategies, metavar="A,B,...",
+                         help="comma-separated strategy list"),
+    "--q": dict(type=int, help="future-time negatives per positive"),
+    "--tf": dict(dest="t_f", type=int, metavar="BINS",
+                 help="future horizon in bins (default %(default)s)"),
+    "--batch-size": dict(type=int, metavar="K"),
+    "--seed": dict(type=int, help="seed of the negative draws"),
+    "--loop-pool": dict(choices=VALID_LOOP_POOL, help="candidate pool for negative loops"),
+    "--loop-eval": dict(choices=VALID_LOOP_EVAL),
+    "--scorer": dict(choices=SCORER_KINDS),
+    "--lambda": dict(dest="scorer_lambda", type=float, metavar="RATE",
+                     help="recency decay per bin (default %(default).4g)"),
+    "--scorer-seed": dict(type=int, help="seed for the random scorer"),
+    "--scores-dir": dict(metavar="DIR", help="directory of externally computed score files"),
+}
+_CSV = ("--bin-width", "--columns", "--drop-users", "--min-month-edges")
+_SPLIT = ("--windows", "--val-fraction")
+_SAMPLER = ("--q", "--tf", "--batch-size", "--seed", "--loop-pool")
+_SCORER = ("--scorer", "--lambda", "--scorer-seed")
+
+
+def _add_options(p: argparse.ArgumentParser, *flags: str) -> None:
+    for flag in flags:
+        kw = {"dest": flag[2:].replace("-", "_"), **_OPTIONS[flag]}
+        p.add_argument(flag, default=_DEFAULTS[kw["dest"]], **kw)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -274,72 +277,53 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("dataset", help="edge CSV/TSV (or .npz to re-cache)")
     p.add_argument("--out", metavar="FILE.npz",
                    help="cache path (default: $DINS_CACHE_DIR/<stem>.npz)")
-    _add_csv_opts(p)
+    _add_options(p, *_CSV)
     p.set_defaults(fn=cmd_ingest)
 
     p = sub.add_parser("stats", help="dataset statistics as JSON")
     p.add_argument("dataset", help="edge CSV/TSV or .npz cache")
-    _add_csv_opts(p)
+    _add_options(p, *_CSV)
     p.set_defaults(fn=cmd_stats)
 
     p = sub.add_parser("split", help="write chronological train/val/test splits")
     p.add_argument("dataset", help="edge CSV/TSV or .npz cache")
-    p.add_argument("--windows", default="monthly", metavar="monthly|FILE.json",
-                   help="window schedule (default: UTC calendar months)")
-    p.add_argument("--val-fraction", type=float, default=0.5, metavar="F",
-                   help="leading fraction of each eval window used for validation")
     p.add_argument("--out-dir", required=True, metavar="DIR")
-    _add_csv_opts(p)
+    _add_options(p, *_SPLIT, *_CSV)
     p.set_defaults(fn=cmd_split)
 
     p = sub.add_parser("sample", help="draw negative samples for training")
     p.add_argument("dataset", help="edge CSV/TSV or .npz cache (training edges)")
     p.add_argument("--strategy", required=True, choices=sorted(STRATEGIES))
-    p.add_argument("--q", type=int, default=5, help="future-time negatives per positive")
-    p.add_argument("--tf", type=int, default=288, metavar="BINS",
-                   help="future horizon in bins (default 288 = 24h)")
-    p.add_argument("--batch-size", type=int, default=1000, metavar="K")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--loop-pool", choices=("batch", "per-t"), default="batch",
-                   help="candidate pool for negative loops")
     p.add_argument("--with-keys", action="store_true",
                    help="add a stable 'key' field to every sample")
     p.add_argument("--negatives-only", action="store_true",
                    help="omit the observed positive edges from the output")
     p.add_argument("--out", required=True, metavar="FILE.jsonl")
-    _add_csv_opts(p)
+    _add_options(p, *_SAMPLER, *_CSV)
     p.set_defaults(fn=cmd_sample)
 
     p = sub.add_parser("score", help="score a samples file with a heuristic scorer")
     p.add_argument("--scorer", required=True, choices=SCORER_KINDS)
-    p.add_argument("--lambda", dest="decay", type=float,
-                   default=DEFAULT_RECENCY_DECAY, metavar="RATE",
-                   help="recency decay per bin (default ln2/72)")
-    p.add_argument("--seed", type=int, default=0, help="seed for the random scorer")
+    p.add_argument("--seed", dest="scorer_seed", type=int, default=_DEFAULTS["scorer_seed"],
+                   metavar="SEED", help="seed for the random scorer")
     p.add_argument("--samples", required=True, metavar="IN.jsonl")
-    p.add_argument("--train", metavar="DATASET",
+    p.add_argument("--train", dest="dataset", metavar="DATASET",
                    help="training edges (required for memory/recency)")
     p.add_argument("--out", required=True, metavar="OUT.jsonl")
-    _add_csv_opts(p)
+    _add_options(p, "--lambda", *_CSV)
     p.set_defaults(fn=cmd_score)
 
     p = sub.add_parser("evaluate", help="category-wise AUC report for one split")
     p.add_argument("--split-dir", required=True, metavar="DIR",
                    help="directory written by 'split' (train/val/test)")
-    p.add_argument("--scorer", choices=SCORER_KINDS, default="memory")
     p.add_argument("--scores", metavar="FILE.jsonl",
                    help="externally computed scores (overrides --scorer)")
-    p.add_argument("--lambda", dest="decay", type=float,
-                   default=DEFAULT_RECENCY_DECAY, metavar="RATE")
-    p.add_argument("--scorer-seed", type=int, default=0)
-    p.add_argument("--seed", type=int, default=0, help="negative-draw seed")
-    p.add_argument("--loop-eval", choices=("per-positive", "per-timestamp"),
-                   default="per-positive")
     p.add_argument("--strategy-label", metavar="NAME",
                    help="strategy name recorded in the report")
     p.add_argument("--export", metavar="FILE.jsonl",
                    help="also write the keyed evaluation samples")
     p.add_argument("--out", metavar="REPORT.json")
+    _add_options(p, *_SCORER, "--seed", "--loop-eval")
     p.set_defaults(fn=cmd_evaluate)
 
     p = sub.add_parser("run", help="full pipeline over all monthly splits")
@@ -347,26 +331,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", metavar="FILE.json",
                    help="load a full pipeline config instead of flags")
     p.add_argument("--out-dir", required=True, metavar="DIR")
-    p.add_argument("--strategies", type=_strategies, default=("dins",),
-                   metavar="A,B,...", help="comma-separated strategy list")
-    p.add_argument("--windows", default="monthly", metavar="monthly|FILE.json")
-    p.add_argument("--val-fraction", type=float, default=0.5, metavar="F")
-    p.add_argument("--q", type=int, default=5)
-    p.add_argument("--tf", type=int, default=288, metavar="BINS")
-    p.add_argument("--batch-size", type=int, default=1000, metavar="K")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--loop-pool", choices=("batch", "per-t"), default="batch")
-    p.add_argument("--loop-eval", choices=("per-positive", "per-timestamp"),
-                   default="per-positive")
-    p.add_argument("--scorer", choices=SCORER_KINDS, default="memory")
-    p.add_argument("--lambda", dest="decay", type=float,
-                   default=DEFAULT_RECENCY_DECAY, metavar="RATE")
-    p.add_argument("--scorer-seed", type=int, default=0)
-    p.add_argument("--scores-dir", metavar="DIR",
-                   help="directory of externally computed score files")
     p.add_argument("--jobs", type=int, default=1, metavar="N",
                    help="process splits with N parallel workers")
-    _add_csv_opts(p)
+    _add_options(p, "--strategies", *_SPLIT, *_SAMPLER, "--loop-eval", *_SCORER,
+                 "--scores-dir", *_CSV)
     p.set_defaults(fn=cmd_run)
 
     p = sub.add_parser("report", help="reshape a run directory's results")

@@ -155,10 +155,12 @@ def build_eval_set(test_positives: EdgeBlock, graph: DynamicGraph,
             anchor_ts = ts
         else:
             raise ValueError(f"unknown loop_eval {loop_eval!r}")
-        if index.loopless_count(before) == 0:
+        total = index.loopless_count(before)
+        if total == 0:
             tallies["shortfall"] += int(anchor_ts.size)
         else:
-            picks = index.pick_loopless(rng, before, anchor_ts.size)
+            picks = index.loopless_picks(np.full(anchor_ts.size, before),
+                                         rng.integers(0, total, size=anchor_ts.size))
             exists = index.occurred(picks, picks, anchor_ts)
             for i in range(anchor_ts.size):
                 rl, t = int(picks[i]), int(anchor_ts[i])
@@ -303,17 +305,6 @@ def evaluate_sets(test_positives: EdgeBlock, eval_sets: dict[str, SampleSet],
         n_neg=len(pooled) - len(pos), shortfall=total_shortfall)
     return EvalReport(split_label=split_label, strategy=strategy, seed=seed,
                       categories=categories)
-
-
-def evaluate(test_positives: EdgeBlock, graph: DynamicGraph,
-             index: HistoryIndex, scorer: Scorer, seed: int, *,
-             split_label: str = "", strategy: str = "",
-             retry_cap: int = 32, loop_eval: str = "per-positive") -> EvalReport:
-    """Build all evaluation categories, score them, and report AUCs."""
-    sets = build_eval_sets(test_positives, graph, index, seed,
-                           retry_cap=retry_cap, loop_eval=loop_eval)
-    return evaluate_sets(test_positives, sets, scorer, seed,
-                         split_label=split_label, strategy=strategy)
 
 
 def eval_records(test_positives: EdgeBlock,

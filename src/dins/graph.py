@@ -16,14 +16,13 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from functools import cached_property
-from typing import Iterable, Iterator, NamedTuple, Optional
+from typing import Iterable, Optional
 
 import numpy as np
 
 __all__ = [
     "IngestError",
     "NodeRegistry",
-    "Edge",
     "EdgeBlock",
     "DynamicGraph",
     "Batch",
@@ -83,15 +82,6 @@ class NodeRegistry:
 
     def __repr__(self) -> str:
         return f"NodeRegistry(n={len(self)})"
-
-
-class Edge(NamedTuple):
-    src: int
-    dst: int
-    t: int
-
-    def is_loop(self) -> bool:
-        return self.src == self.dst
 
 
 @dataclass(frozen=True)
@@ -155,10 +145,6 @@ class DynamicGraph:
     @property
     def t_max(self) -> int:
         return int(self.t[-1]) if self.m else 0
-
-    def edges(self) -> Iterator[Edge]:
-        for i in range(self.m):
-            yield Edge(int(self.src[i]), int(self.dst[i]), int(self.t[i]))
 
     @cached_property
     def history(self) -> "HistoryIndex":
@@ -415,10 +401,6 @@ class HistoryIndex:
         return self._ts_by_pair[self._offsets[i]:self._offsets[i + 1]]
 
     @property
-    def n_pairs(self) -> int:
-        return int(self._pair_keys.size)
-
-    @property
     def edge_by_pair(self) -> np.ndarray:
         """Edge positions aligned with the bounds of :meth:`window_bounds`."""
         return self._edge_by_pair
@@ -485,17 +467,10 @@ class HistoryIndex:
         out[known[inside]] = self._ts_by_pair[pos[inside]] == t[inside]
         return out
 
-    def pairs_exist(self, us, vs) -> np.ndarray:
-        """Vectorized :meth:`has_pair` over parallel arrays."""
-        return self.pair_rows(us, vs) >= 0
-
     # -- prior pairs (for the historical baseline) ----------------------
 
-    def prior_pair_count(self, t: int) -> int:
-        """Number of distinct directed pairs first seen strictly before ``t``."""
-        return int(np.searchsorted(self._pair_first_t, t, side="left"))
-
     def prior_pair_counts(self, ts) -> np.ndarray:
+        """Number of distinct directed pairs first seen strictly before each ``ts[i]``."""
         return np.searchsorted(self._pair_first_t, np.asarray(ts, dtype=np.int64),
                                side="left")
 
@@ -541,13 +516,6 @@ class HistoryIndex:
             return int(self._never_looped[rank])
         j = int(self._loop_first_t.searchsorted(before_t))
         return int(self._loop_nodes_by_first[j + rank - n0])
-
-    def pick_loopless(self, rng: np.random.Generator, before_t: int, size: int) -> np.ndarray:
-        """Uniform draws (with replacement) from the loopless pool."""
-        total = self.loopless_count(before_t)
-        if total == 0:
-            raise ValueError("loopless pool is empty")
-        return self.loopless_picks(np.full(size, before_t), rng.integers(0, total, size=size))
 
 
 @dataclass(frozen=True)

@@ -12,8 +12,8 @@ standalone ``dins sample`` / ``dins evaluate`` invocation with the same
 seed on a split's files reproduces the runner's outputs byte for byte.
 
 Splits are independent, so ``jobs > 1`` fans them out to worker
-processes; each worker loads the dataset once and writes its own split
-directories.
+processes; each worker takes the parent's graph and writes its own split
+directories, with the same bytes as the serial run.
 """
 
 from __future__ import annotations
@@ -37,13 +37,28 @@ from .sampling import STRATEGIES, sample_batches
 from .scorers import ScorerSpec, make_scorer
 from .split import load_windows_file, make_split, monthly_schedule, window_pairs
 
-__all__ = ["run_experiment", "process_split", "average_ranks"]
+__all__ = ["run_experiment", "process_split", "average_ranks", "load_configured",
+           "window_schedule"]
 
 
-def _resolve_windows(graph: DynamicGraph, windows: str):
-    if windows == "monthly":
-        return monthly_schedule(graph)
-    return monthly_schedule(graph, custom_windows=load_windows_file(windows))
+def load_configured(config: PipelineConfig) -> DynamicGraph:
+    """Load ``config.dataset`` with the configured ingest settings."""
+    drop = read_name_list(config.drop_users) if config.drop_users else ()
+    return load_dataset(config.dataset,
+                        bin_width_seconds=config.bin_width_seconds,
+                        columns=config.columns, drop_names=drop,
+                        min_month_edges=config.min_month_edges)
+
+
+def window_schedule(graph: DynamicGraph, windows: str):
+    """The schedule named by ``windows`` and its (train, eval) pairs."""
+    custom = None if windows == "monthly" else load_windows_file(windows)
+    schedule = monthly_schedule(graph, custom_windows=custom)
+    pairs = window_pairs(schedule)
+    if not pairs:
+        raise ValueError("need at least two windows to form a "
+                         "(train, evaluate) pair")
+    return schedule, pairs
 
 
 def _external_scores(scores_dir: str, label: str, strategy: str) -> dict[str, float]:
@@ -157,19 +172,8 @@ def average_ranks(outcomes: list[dict], strategies: tuple[str, ...]) -> dict:
 _WORKER: dict = {}
 
 
-def _load_configured(config: PipelineConfig) -> DynamicGraph:
-    drop = read_name_list(config.drop_users) if config.drop_users else ()
-    return load_dataset(config.dataset,
-                        bin_width_seconds=config.bin_width_seconds,
-                        columns=config.columns, drop_names=drop,
-                        min_month_edges=config.min_month_edges)
-
-
-def _worker_init(config_dict: dict, out_dir: str) -> None:
-    config = PipelineConfig.from_dict(config_dict)
-    _WORKER["config"] = config
-    _WORKER["out_dir"] = Path(out_dir)
-    _WORKER["graph"] = _load_configured(config)
+def _worker_init(graph: DynamicGraph, config: PipelineConfig, out_dir: Path) -> None:
+    _WORKER.update(graph=graph, config=config, out_dir=out_dir)
 
 
 def _worker_run(train_window, eval_window) -> dict:
@@ -189,18 +193,14 @@ def run_experiment(config: PipelineConfig, out_dir: str | Path, *,
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     if graph is None:
-        graph = _load_configured(config)
-    schedule = _resolve_windows(graph, config.windows)
-    pairs = window_pairs(schedule)
-    if not pairs:
-        raise ValueError("need at least two windows to form a "
-                         "(train, evaluate) pair")
+        graph = load_configured(config)
+    schedule, pairs = window_schedule(graph, config.windows)
     write_json(out / "config.json", config.to_dict())
 
     if jobs > 1 and len(pairs) > 1:
         with ProcessPoolExecutor(max_workers=min(jobs, len(pairs)),
                                  initializer=_worker_init,
-                                 initargs=(config.to_dict(), str(out))) as pool:
+                                 initargs=(graph, config, out)) as pool:
             outcomes = list(pool.map(_worker_run,
                                      [p[0] for p in pairs],
                                      [p[1] for p in pairs]))

@@ -196,7 +196,8 @@ def read_edge_csv(path: PathLike,
     path = Path(path)
     delim = _delimiter_for(path)
     records: list[tuple[str, str, int]] = []
-    with open(path, "r", encoding="utf-8", newline="") as fh:
+    # utf-8-sig drops the byte-order mark that spreadsheet exports begin with
+    with open(path, "r", encoding="utf-8-sig", newline="") as fh:
         reader = csv.reader(fh, delimiter=delim)
         try:
             header = next(reader)
@@ -247,27 +248,15 @@ def write_edge_csv(path: PathLike, registry: NodeRegistry, src: np.ndarray,
 
 def save_graph(path: PathLike, graph: DynamicGraph) -> None:
     """Write a graph to a compressed ``.npz`` cache."""
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.", suffix=".tmp")
-    os.close(fd)
-    try:
-        with open(tmp, "wb") as fh:
-            np.savez_compressed(
-                fh,
-                format=np.int64(_CACHE_FORMAT),
-                src=graph.src, dst=graph.dst, t=graph.t, raw=graph.raw,
-                names=np.asarray(graph.registry.names(), dtype=str),
-                bin_width_seconds=np.int64(graph.bin_width_seconds),
-                raw_anchor=np.int64(graph.raw_anchor),
-            )
-        os.replace(tmp, path)
-    except BaseException:
-        try:
-            os.unlink(tmp)
-        except OSError:
-            pass
-        raise
+    with atomic_open(path, "wb") as fh:
+        np.savez_compressed(
+            fh,
+            format=np.int64(_CACHE_FORMAT),
+            src=graph.src, dst=graph.dst, t=graph.t, raw=graph.raw,
+            names=np.asarray(graph.registry.names(), dtype=str),
+            bin_width_seconds=np.int64(graph.bin_width_seconds),
+            raw_anchor=np.int64(graph.raw_anchor),
+        )
 
 
 def load_graph(path: PathLike) -> DynamicGraph:

@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from dins import SamplerConfig, build_graph, sample_batches
+from dins import PipelineConfig, SamplerConfig, build_graph, sample_batches
 from dins.cli import main
 from dins.runner import average_ranks
 from dins.sample_io import (IngestError, atomic_open, load_graph,
@@ -318,6 +318,32 @@ def test_run_config_file_equivalence(months_csv, tmp_path):
     code, _, err = run_cli("run", str(months_csv), "--config", str(cfg_path),
                            "--out-dir", str(tmp_path / "c"))
     assert code == 1 and "not both" in json.loads(err)["message"]
+
+
+def test_invalid_flags_are_rejected_up_front(months_csv, tmp_path):
+    out_dir = tmp_path / "splits"
+    for argv, message in [
+        (("split", str(months_csv), "--out-dir", str(out_dir), "--val-fraction", "1.5"),
+         "val_fraction must be in [0, 1]"),
+        (("stats", str(months_csv), "--min-month-edges", "-1"),
+         "min_month_edges must be non-negative"),
+    ]:
+        code, out, err = run_cli(*argv)
+        assert code == 1 and out == ""
+        assert json.loads(err)["message"] == message
+    assert not out_dir.exists()
+
+
+def test_cli_defaults_are_the_config_defaults(months_csv, tmp_path):
+    defaults = PipelineConfig(dataset=str(months_csv))
+    cli_json("run", str(months_csv), "--out-dir", str(tmp_path / "run"))
+    assert json.loads((tmp_path / "run" / "config.json").read_text()) == defaults.to_dict()
+    cli_json("sample", str(months_csv), "--strategy", "dins",
+             "--out", str(tmp_path / "s.jsonl"))
+    meta = json.loads((tmp_path / "s.meta.json").read_text())
+    sampler = defaults.sampler()
+    assert meta["config"] == {"q": sampler.q, "t_f": sampler.t_f, "k": sampler.k,
+                              "seed": sampler.seed}
 
 
 def test_errors_are_json_on_stderr(tmp_path):

@@ -14,6 +14,7 @@ import hashlib
 from pathlib import Path
 
 from dins.config import PipelineConfig
+from dins.graph import build_graph
 from dins.runner import run_experiment
 from dins.sampling import STRATEGIES
 from dins.synthetic import multi_month_records
@@ -94,17 +95,21 @@ GOLDEN = {
 }
 
 
-def run_digests(workdir: Path) -> dict[str, str]:
-    """sha256 of every file a run over the golden dataset writes."""
-    with open(workdir / "golden.csv", "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["src", "dst", "timestamp"])
-        w.writerows(multi_month_records(120, 1500, 3, seed=11))
+def run_digests(workdir: Path, jobs: int = 1, in_memory: bool = False) -> dict[str, str]:
+    """sha256 of every file a run over the golden dataset writes. With
+    ``in_memory`` the run is handed the graph and no dataset file exists."""
+    records = multi_month_records(120, 1500, 3, seed=11)
+    if not in_memory:
+        with open(workdir / "golden.csv", "w", newline="") as fh:
+            w = csv.writer(fh)
+            w.writerow(["src", "dst", "timestamp"])
+            w.writerows(records)
     config = PipelineConfig(dataset="golden.csv", batch_size=250, q=3, t_f=144,
                             seed=5, strategies=tuple(sorted(STRATEGIES)),
                             scorer="recency")
     out = workdir / "run"
-    run_experiment(config, out, jobs=1)
+    run_experiment(config, out, jobs=jobs,
+                   graph=build_graph(records) if in_memory else None)
     return {p.relative_to(out).as_posix(): hashlib.sha256(p.read_bytes()).hexdigest()
             for p in sorted(out.rglob("*")) if p.is_file()}
 
@@ -112,3 +117,16 @@ def run_digests(workdir: Path) -> dict[str, str]:
 def test_golden_run_digests(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)         # config.json records the relative dataset path
     assert run_digests(tmp_path) == GOLDEN
+
+
+def test_parallel_run_digests(tmp_path, monkeypatch):
+    # serial == parallel: two workers write the pinned bytes
+    monkeypatch.chdir(tmp_path)
+    assert run_digests(tmp_path, jobs=2) == GOLDEN
+
+
+def test_parallel_run_uses_the_given_graph(tmp_path, monkeypatch):
+    # config.dataset names no file, so a worker that reloaded it would fail
+    monkeypatch.chdir(tmp_path)
+    assert run_digests(tmp_path, jobs=2, in_memory=True) == GOLDEN
+    assert not (tmp_path / "golden.csv").exists()

@@ -227,7 +227,7 @@ def test_history_index_matches_oracles(g):
     # prior distinct pairs strictly before t
     for t in t_probe:
         want_pairs = {p for p, f in firsts.items() if f < t}
-        assert idx.prior_pair_count(t) == len(want_pairs)
+        assert idx.prior_pair_counts([t])[0] == len(want_pairs)
         got_pairs = {idx.prior_pair(r) for r in range(len(want_pairs))}
         assert got_pairs == want_pairs
 
@@ -240,7 +240,8 @@ def test_history_index_matches_oracles(g):
         pool = idx.loopless_picks(np.full(count, t), np.arange(count)).tolist()
         assert len(pool) == count and set(pool) == want_nodes
         if want_nodes:
-            picks = idx.pick_loopless(derive_rng(1, t + 1), t, 64)
+            draws = derive_rng(1, t + 1).integers(0, count, size=64)
+            picks = idx.loopless_picks(np.full(64, t), draws)
             assert set(picks.tolist()) <= want_nodes
 
 
@@ -248,7 +249,7 @@ def test_history_index_prior_counts_vectorized(tiny_graph):
     idx = tiny_graph.history
     ts = np.array([0, 1, 2, 3, 4, 5, 6])
     got = idx.prior_pair_counts(ts)
-    want = np.array([idx.prior_pair_count(int(t)) for t in ts])
+    want = np.array([idx.prior_pair_counts([t])[0] for t in ts])
     assert np.array_equal(got, want)
 
 

@@ -2,13 +2,15 @@
 
 from __future__ import annotations
 
+import codecs
+import csv
 import json
 
 import numpy as np
 import pytest
 
 from dins import WindowSpec, build_graph, make_split, monthly_schedule, window_pairs
-from dins.sample_io import read_split_dir, write_split_dir
+from dins.sample_io import load_dataset, read_split_dir, write_split_dir
 from dins.split import load_windows_file, sparse_month_mask
 
 JAN = 1609459200   # 2021-01-01T00:00:00Z
@@ -137,6 +139,37 @@ def test_split_dir_roundtrip(tmp_path):
     write_split_dir(d2, loaded)
     for name in ("train.csv", "val.csv", "test.csv", "split_meta.json"):
         assert (d2 / name).read_bytes() == (d / name).read_bytes()
+
+
+def test_bom_crlf_csv_ingests_and_roundtrips(tmp_path):
+    # a spreadsheet export: UTF-8 BOM, CRLF line ends and a quoted name
+    # that holds the delimiter
+    rows = [("src", "dst", "timestamp"),
+            ("a", "b", JAN + 100), ("x,y", "b", JAN + 40_000), ("b", "x,y", JAN + 90_000),
+            ("x,y", "a", FEB + 50), ("a", "b", FEB + 700_000), ("b", "x,y", FEB + 900_000)]
+    plain, excel = tmp_path / "plain.csv", tmp_path / "excel.csv"
+    with open(plain, "w", newline="", encoding="utf-8") as fh:
+        csv.writer(fh, lineterminator="\n").writerows(rows)
+    with open(excel, "w", newline="", encoding="utf-8-sig") as fh:
+        csv.writer(fh, lineterminator="\r\n").writerows(rows)
+    raw = excel.read_bytes()
+    assert raw.startswith(codecs.BOM_UTF8) and b'\r\n"x,y",' in raw
+
+    g, h = load_dataset(plain), load_dataset(excel)
+    assert h.registry.names() == g.registry.names() == ["a", "b", "x,y"]
+    for col in ("src", "dst", "t", "raw"):
+        assert np.array_equal(getattr(h, col), getattr(g, col))
+
+    jan, feb = monthly_schedule(h)
+    split = make_split(h, jan, feb)
+    write_split_dir(tmp_path / "split", split)
+    loaded = read_split_dir(tmp_path / "split")
+    assert loaded.train.registry.names() == split.train.registry.names()
+    for got, want in ((loaded.train, split.train), (loaded.val, split.val),
+                      (loaded.test, split.test)):
+        for col in ("src", "dst", "t", "raw"):
+            assert np.array_equal(getattr(got, col), getattr(want, col))
+    assert len(loaded.val) + len(loaded.test) == 3
 
 
 def test_windows_file_formats(tmp_path):
