@@ -11,9 +11,8 @@ from .config import (DEFAULT_BIN_WIDTH_SECONDS, DEFAULT_RECENCY_DECAY,
                      PipelineConfig, SamplerConfig, derive_rng)
 from .evaluation import (EVAL_CATEGORIES, EVAL_NEGATIVE_CATEGORIES, H_OFFSETS,
                          CategoryResult, EvalReport, MissingScoresError,
-                         ScoredSample, UndefinedMetricError, auc,
-                         build_eval_set, build_eval_sets, combined_index,
-                         evaluate_sets)
+                         UndefinedMetricError, auc, build_eval_set,
+                         build_eval_sets, combined_index, evaluate_sets)
 from .graph import (Batch, DynamicGraph, EdgeBlock, GraphStats,
                     HistoryIndex, IngestError, NodeRegistry, batches,
                     build_graph, stats, subgraph)
@@ -22,8 +21,8 @@ from .sample_io import (load_dataset, load_graph, read_samples_jsonl,
                         read_scores_jsonl, read_split_dir, sample_key,
                         save_graph, write_samples_jsonl, write_scores_jsonl,
                         write_split_dir)
-from .sampling import (CATEGORIES, NEG, POS, STRATEGIES, Sample, SampleSet,
-                       batch_rng, positive_enhancement, sample_batches,
+from .sampling import (CATEGORIES, NEG, POS, STRATEGIES, VOCABULARY, Sample,
+                       SampleSet, batch_rng, positive_enhancement, sample_batches,
                        sample_dins, sample_historical_baseline,
                        sample_negative_loops, sample_random_baseline,
                        sample_sender_receiver, sample_temporal)
@@ -42,7 +41,7 @@ __all__ = [
     "Batch", "DynamicGraph", "EdgeBlock", "GraphStats", "HistoryIndex",
     "IngestError", "NodeRegistry", "batches", "build_graph", "stats", "subgraph",
     # sampling
-    "CATEGORIES", "NEG", "POS", "STRATEGIES", "Sample", "SampleSet",
+    "CATEGORIES", "NEG", "POS", "STRATEGIES", "VOCABULARY", "Sample", "SampleSet",
     "batch_rng", "positive_enhancement", "sample_batches", "sample_dins",
     "sample_historical_baseline", "sample_negative_loops",
     "sample_random_baseline", "sample_sender_receiver", "sample_temporal",
@@ -51,8 +50,7 @@ __all__ = [
     "monthly_schedule", "window_pairs",
     # evaluation
     "EVAL_CATEGORIES", "EVAL_NEGATIVE_CATEGORIES", "H_OFFSETS",
-    "CategoryResult", "EvalReport", "MissingScoresError", "ScoredSample",
-    "UndefinedMetricError", "auc", "build_eval_set", "build_eval_sets",
+    "CategoryResult", "EvalReport", "MissingScoresError", "UndefinedMetricError", "auc", "build_eval_set", "build_eval_sets",
     "combined_index", "evaluate_sets",
     # scorers
     "SCORER_KINDS", "ScorerSpec", "make_scorer",

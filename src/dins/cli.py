@@ -30,7 +30,8 @@ from pathlib import Path
 from typing import Optional, Sequence
 
 from . import __version__
-from .config import VALID_LOOP_EVAL, VALID_LOOP_POOL, PipelineConfig
+from .config import (SCORER_KINDS, VALID_LOOP_EVAL, VALID_LOOP_POOL, PipelineConfig,
+                     ScorerSpec)
 from .evaluation import build_eval_sets, combined_index, eval_records, evaluate_sets
 from .graph import stats as graph_stats
 from .runner import load_configured, run_experiment, window_schedule
@@ -39,7 +40,7 @@ from .sample_io import (atomic_open, cache_dir, read_json, read_samples_jsonl,
                         write_json, write_registry_json, write_samples_jsonl,
                         write_scores_jsonl, write_split_dir)
 from .sampling import STRATEGIES, Sample, sample_batches
-from .scorers import SCORER_KINDS, ScorerSpec, make_scorer
+from .scorers import make_scorer
 from .split import make_split
 
 PROG = "dins"
@@ -130,8 +131,7 @@ def cmd_sample(args) -> int:
 
 def cmd_score(args) -> int:
     config = PipelineConfig.from_dict(vars(args))
-    spec = ScorerSpec(kind=config.scorer, lam=config.scorer_lambda,
-                      seed=config.scorer_seed)
+    spec = config.scorer_spec()
     index = None
     if spec.kind in ("memory", "recency"):
         if not config.dataset:
@@ -142,8 +142,7 @@ def cmd_score(args) -> int:
     records = read_samples_jsonl(args.samples)
     scores: dict[str, float] = {}
     for rec in records:
-        s = Sample(int(rec["src"]), int(rec["dst"]), int(rec["t"]),
-                   str(rec["label"]), str(rec["category"]))
+        s = Sample(rec["src"], rec["dst"], rec["t"], str(rec["label"]), str(rec["category"]))
         key = rec.get("key") or sample_key(s.src, s.dst, s.t, s.category)
         scores[str(key)] = scorer(s)
     write_scores_jsonl(args.out, scores)
@@ -152,6 +151,7 @@ def cmd_score(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
+    spec = ScorerSpec(kind=args.scorer, lam=args.scorer_lambda, seed=args.scorer_seed)
     split = read_split_dir(args.split_dir)
     if len(split.test) == 0:
         raise ValueError(f"{args.split_dir}: split has no test edges")
@@ -166,10 +166,9 @@ def cmd_evaluate(args) -> int:
         scorer = read_scores_jsonl(args.scores)
         strategy = args.strategy_label or "external"
     else:
-        spec = ScorerSpec(kind=args.scorer, lam=args.scorer_lambda, seed=args.scorer_seed)
         index_train = split.train.history if spec.kind in ("memory", "recency") else None
         scorer = make_scorer(spec, index=index_train)
-        strategy = args.strategy_label or args.scorer
+        strategy = args.strategy_label or spec.kind
     report = evaluate_sets(split.test, sets, scorer, args.seed,
                            split_label=split.label, strategy=strategy)
     payload = report.to_dict()

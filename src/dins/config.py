@@ -123,6 +123,27 @@ class SamplerConfig:
             raise ValueError("retry caps must be >= 1")
 
 
+SCORER_KINDS = ("constant", "random", "memory", "recency")
+
+
+@dataclass(frozen=True)
+class ScorerSpec:
+    """Which built-in scorer to use and its parameters."""
+
+    kind: str
+    lam: float = DEFAULT_RECENCY_DECAY   # recency decay per bin
+    seed: int = 0
+
+    def __post_init__(self):
+        if self.kind not in SCORER_KINDS:
+            raise ValueError(f"unknown scorer {self.kind!r}; "
+                             f"choose from {SCORER_KINDS}")
+        if self.lam <= 0:
+            raise ValueError("lam must be positive")
+        if self.seed < 0:
+            raise ValueError("seed must be non-negative")
+
+
 VALID_LOOP_POOL = ("batch", "per-t")
 VALID_LOOP_EVAL = ("per-positive", "per-timestamp")
 
@@ -167,9 +188,13 @@ class PipelineConfig:
             raise ValueError("min_month_edges must be non-negative")
         # delegate numeric checks
         self.sampler()
+        self.scorer_spec()
 
     def sampler(self) -> SamplerConfig:
         return SamplerConfig(q=self.q, t_f=self.t_f, k=self.batch_size, seed=self.seed)
+
+    def scorer_spec(self) -> ScorerSpec:
+        return ScorerSpec(kind=self.scorer, lam=self.scorer_lambda, seed=self.scorer_seed)
 
     def to_dict(self) -> dict:
         d = asdict(self)

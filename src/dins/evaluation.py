@@ -13,35 +13,33 @@ Negatives are always checked against the full edge set of the split
 (train + validation + test) so nothing labeled negative ever occurred;
 the probe-time negatives additionally stay within the test window, so
 no sample peeks past it.
+
+Each category's negatives are a :class:`SampleSet` of columns, built
+with array masks; scoring yields one array, and :func:`auc` takes
+labels and scores.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from typing import Callable, Mapping, Optional, Union
+from typing import Callable, Mapping, Union
 
 import numpy as np
 
 from .config import derive_rng
 from .graph import DynamicGraph, EdgeBlock, HistoryIndex
 from .sample_io import sample_key
-from .sampling import (NEG, OBSERVED, POS, Sample, SampleSet,
-                       _Calls, _replacement_column, _retry_loop_pick)
+from .sampling import (H6, H12, H24, LOOP, OBSERVED, RANDOM_RECEIVER, RANDOM_SENDER,
+                       Sample, SampleSet, _Calls, _replacement_column, _retry_loop_pick)
 
 __all__ = [
     "EVAL_CATEGORIES", "EVAL_NEGATIVE_CATEGORIES", "H_OFFSETS",
-    "UndefinedMetricError", "MissingScoresError", "ScoredSample",
-    "CategoryResult", "EvalReport", "build_eval_set", "build_eval_sets",
-    "auc", "evaluate", "evaluate_sets", "combined_index", "eval_records",
+    "UndefinedMetricError", "MissingScoresError", "CategoryResult",
+    "EvalReport", "build_eval_set", "build_eval_sets", "auc",
+    "evaluate_sets", "combined_index", "eval_records",
 ]
 
-RANDOM_SENDER = "random_sender"
-RANDOM_RECEIVER = "random_receiver"
-LOOP = "loop"
-H6 = "h6"
-H12 = "h12"
-H24 = "h24"
 OVERALL = "overall"
 
 H_OFFSETS = {H6: 72, H12: 144, H24: 288}
@@ -65,12 +63,6 @@ class MissingScoresError(ValueError):
                          f"(first {min(10, total)}: {preview})")
         self.missing = missing[:10]
         self.total = total
-
-
-@dataclass(frozen=True)
-class ScoredSample:
-    sample: Sample
-    score: float
 
 
 @dataclass(frozen=True)
@@ -131,66 +123,46 @@ def build_eval_set(test_positives: EdgeBlock, graph: DynamicGraph,
     """
     if len(test_positives) == 0:
         raise ValueError("no test positives to evaluate")
-    out: list[Sample] = []
-    tallies: Counter = Counter()
     src, dst, ts = test_positives.src, test_positives.dst, test_positives.t
 
     if category in (RANDOM_SENDER, RANDOM_RECEIVER):
         replace_dst = category == RANDOM_RECEIVER
         r = _replacement_column(_Calls([rng]), np.zeros(src.size, dtype=np.int64), index,
                                 graph.n, src, dst, ts, replace_dst, retry_cap)
-        for i in range(len(test_positives)):
-            if r[i] < 0:
-                tallies["shortfall"] += 1
-            elif replace_dst:
-                out.append(Sample(int(src[i]), int(r[i]), int(ts[i]), NEG, category))
-            else:
-                out.append(Sample(int(r[i]), int(dst[i]), int(ts[i]), NEG, category))
+        ok = r >= 0
+        if replace_dst:
+            dst = r
+        else:
+            src = r
 
     elif category == LOOP:
         before = int(ts.min())
         if loop_eval == "per-timestamp":
-            anchor_ts = np.unique(ts)
-        elif loop_eval == "per-positive":
-            anchor_ts = ts
-        else:
+            ts = np.unique(ts)
+        elif loop_eval != "per-positive":
             raise ValueError(f"unknown loop_eval {loop_eval!r}")
         total = index.loopless_count(before)
         if total == 0:
-            tallies["shortfall"] += int(anchor_ts.size)
+            src = np.full(ts.size, -1, dtype=np.int64)
         else:
-            picks = index.loopless_picks(np.full(anchor_ts.size, before),
-                                         rng.integers(0, total, size=anchor_ts.size))
-            exists = index.occurred(picks, picks, anchor_ts)
-            for i in range(anchor_ts.size):
-                rl, t = int(picks[i]), int(anchor_ts[i])
-                if exists[i]:
-                    rl = _retry_loop_pick(index, _Calls([rng]).draw(0), before, t,
-                                          retry_cap)
-                if rl < 0:
-                    tallies["shortfall"] += 1
-                else:
-                    out.append(Sample(rl, rl, t, NEG, LOOP))
+            src = index.loopless_picks(np.full(ts.size, before),
+                                       rng.integers(0, total, size=ts.size))
+            draw = _Calls([rng]).draw(0)
+            for i in np.flatnonzero(index.occurred(src, src, ts)).tolist():
+                src[i] = _retry_loop_pick(index, draw, before, int(ts[i]), retry_cap)
+        dst = src
+        ok = src >= 0
 
     elif category in H_OFFSETS:
-        offset = H_OFFSETS[category]
-        t_cap = int(ts.max())
-        probe = ts + offset
-        in_window = probe <= t_cap
-        exists = np.zeros(len(test_positives), dtype=bool)
-        if in_window.any():
-            exists[in_window] = index.occurred(src[in_window], dst[in_window],
-                                               probe[in_window])
-        for i in range(len(test_positives)):
-            if not in_window[i] or exists[i]:
-                tallies["shortfall"] += 1
-            else:
-                out.append(Sample(int(src[i]), int(dst[i]), int(probe[i]),
-                                  NEG, category))
+        ts = ts + H_OFFSETS[category]
+        ok = ts <= int(test_positives.t.max())
+        ok[ok] = ~index.occurred(src[ok], dst[ok], ts[ok])
 
     else:
         raise ValueError(f"unknown evaluation category {category!r}")
-    return SampleSet(out, 0, tallies)
+    shortfall = int(ok.size - ok.sum())
+    return SampleSet.of(src[ok], dst[ok], ts[ok], category,
+                        tallies=Counter(shortfall=shortfall) if shortfall else None)
 
 
 def build_eval_sets(test_positives: EdgeBlock, graph: DynamicGraph,
@@ -205,18 +177,22 @@ def build_eval_sets(test_positives: EdgeBlock, graph: DynamicGraph,
     }
 
 
-def positives_of(test_positives: EdgeBlock) -> list[Sample]:
-    return [Sample(int(test_positives.src[i]), int(test_positives.dst[i]),
-                   int(test_positives.t[i]), POS, OBSERVED)
-            for i in range(len(test_positives))]
+def positives_of(test_positives: EdgeBlock) -> SampleSet:
+    """The test positives as observed samples."""
+    return SampleSet.of(test_positives.src, test_positives.dst, test_positives.t, OBSERVED)
 
 
 # -- AUC ----------------------------------------------------------------------
 
 
-def _auc_arrays(labels: np.ndarray, scores: np.ndarray) -> float:
-    """Tie-aware Mann-Whitney AUC via midranks; identical to the pairwise
-    wins-plus-half-ties count divided by n_pos * n_neg."""
+def auc(labels, scores) -> float:
+    """Tie-aware AUC of the scores labeled True over those labeled False.
+
+    Mann-Whitney via midranks; identical to the pairwise wins-plus-half-ties
+    count divided by n_pos * n_neg.
+    """
+    labels = np.asarray(labels, dtype=bool)
+    scores = np.asarray(scores, dtype=float)
     n_pos = int(labels.sum())
     n_neg = int(labels.size - n_pos)
     if n_pos == 0 or n_neg == 0:
@@ -237,31 +213,22 @@ def _auc_arrays(labels: np.ndarray, scores: np.ndarray) -> float:
     return (pos_rank_sum - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg)
 
 
-def auc(scored: list[ScoredSample]) -> float:
-    """Tie-aware AUC of positive-labeled over negative-labeled samples."""
-    labels = np.array([s.sample.label == POS for s in scored], dtype=bool)
-    scores = np.array([s.score for s in scored], dtype=float)
-    return _auc_arrays(labels, scores)
-
-
 # -- evaluation ---------------------------------------------------------------
 
 Scorer = Union[Callable[[Sample], float], Mapping[str, float]]
 
 
-def _score_samples(samples: list[Sample], scorer: Scorer,
-                   missing: list[str]) -> list[ScoredSample]:
+def _scores(sets: list[SampleSet], scorer: Scorer) -> np.ndarray:
+    """One score per sample of ``sets``, in order."""
     if callable(scorer):
-        return [ScoredSample(s, float(scorer(s))) for s in samples]
-    out = []
-    for s in samples:
-        key = sample_key(s.src, s.dst, s.t, s.category)
-        val = scorer.get(key)
-        if val is None:
-            missing.append(key)
-        else:
-            out.append(ScoredSample(s, float(val)))
-    return out
+        return np.array([scorer(s) for ss in sets for s in ss.samples], dtype=float)
+    keys = [sample_key(src, dst, t, cat)
+            for ss in sets for src, dst, t, _, cat in ss.rows()]
+    values = [scorer.get(key) for key in keys]
+    missing = [key for key, value in zip(keys, values) if value is None]
+    if missing:
+        raise MissingScoresError(missing, len(missing))
+    return np.array(values, dtype=float)
 
 
 def evaluate_sets(test_positives: EdgeBlock, eval_sets: dict[str, SampleSet],
@@ -276,33 +243,26 @@ def evaluate_sets(test_positives: EdgeBlock, eval_sets: dict[str, SampleSet],
     ``overall`` row pools every category's negatives, with the positives
     counted once.
     """
-    missing: list[str] = []
-    pos = _score_samples(positives_of(test_positives), scorer, missing)
-    scored_by_cat: dict[str, list[ScoredSample]] = {}
-    for cat in EVAL_NEGATIVE_CATEGORIES:
-        scored_by_cat[cat] = _score_samples(eval_sets[cat].samples, scorer, missing)
-    if missing:
-        raise MissingScoresError(missing, len(missing))
-
+    negatives = [eval_sets[cat] for cat in EVAL_NEGATIVE_CATEGORIES]
+    scores = _scores([positives_of(test_positives)] + negatives, scorer)
+    n_pos = len(test_positives)
+    ends = np.cumsum([n_pos] + [len(ss) for ss in negatives]).tolist()
     categories: dict[str, CategoryResult] = {}
-    pooled: list[ScoredSample] = list(pos)
-    total_shortfall = 0
-    for cat in EVAL_NEGATIVE_CATEGORIES:
-        negs = scored_by_cat[cat]
-        shortfall = int(eval_sets[cat].tallies.get("shortfall", 0))
-        total_shortfall += shortfall
+    for cat, ss, lo, hi in zip(EVAL_NEGATIVE_CATEGORIES, negatives, ends, ends[1:]):
+        shortfall = int(ss.tallies.get("shortfall", 0))
         try:
-            value = auc(pos + negs)
+            value = auc(np.arange(n_pos + hi - lo) < n_pos,
+                        np.concatenate([scores[:n_pos], scores[lo:hi]]))
         except UndefinedMetricError:
             raise UndefinedMetricError(
                 f"category {cat!r} has no scoreable negatives "
                 f"(shortfall {shortfall}); AUC is undefined") from None
-        categories[cat] = CategoryResult(auc=value, n_pos=len(pos),
-                                         n_neg=len(negs), shortfall=shortfall)
-        pooled.extend(negs)
+        categories[cat] = CategoryResult(auc=value, n_pos=n_pos, n_neg=hi - lo,
+                                         shortfall=shortfall)
     categories[OVERALL] = CategoryResult(
-        auc=auc(pooled), n_pos=len(pos),
-        n_neg=len(pooled) - len(pos), shortfall=total_shortfall)
+        auc=auc(np.arange(scores.size) < n_pos, scores), n_pos=n_pos,
+        n_neg=scores.size - n_pos,
+        shortfall=sum(r.shortfall for r in categories.values()))
     return EvalReport(split_label=split_label, strategy=strategy, seed=seed,
                       categories=categories)
 
@@ -310,10 +270,7 @@ def evaluate_sets(test_positives: EdgeBlock, eval_sets: dict[str, SampleSet],
 def eval_records(test_positives: EdgeBlock,
                  eval_sets: dict[str, SampleSet]) -> list[dict]:
     """Keyed JSON records of all eval samples, for external scoring."""
-    from .sample_io import sample_record
-    recs = [sample_record(s, 0, with_key=True)
-            for s in positives_of(test_positives)]
-    for cat in EVAL_NEGATIVE_CATEGORIES:
-        recs.extend(sample_record(s, 0, with_key=True)
-                    for s in eval_sets[cat].samples)
-    return recs
+    sets = [positives_of(test_positives)] + [eval_sets[c] for c in EVAL_NEGATIVE_CATEGORIES]
+    return [{"src": src, "dst": dst, "t": t, "label": label, "category": cat, "batch": 0,
+             "key": sample_key(src, dst, t, cat)}
+            for ss in sets for src, dst, t, label, cat in ss.rows()]

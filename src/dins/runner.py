@@ -34,7 +34,7 @@ from .sample_io import (atomic_open, load_dataset, read_name_list,
                         read_scores_jsonl, write_json, write_samples_jsonl,
                         write_split_dir)
 from .sampling import STRATEGIES, sample_batches
-from .scorers import ScorerSpec, make_scorer
+from .scorers import make_scorer
 from .split import load_windows_file, make_split, monthly_schedule, window_pairs
 
 __all__ = ["run_experiment", "process_split", "average_ranks", "load_configured",
@@ -116,9 +116,7 @@ def process_split(graph: DynamicGraph, config: PipelineConfig,
             if config.scores_dir:
                 scorer = _external_scores(config.scores_dir, label, strategy)
             else:
-                spec = ScorerSpec(kind=config.scorer, lam=config.scorer_lambda,
-                                  seed=config.scorer_seed)
-                scorer = make_scorer(spec, index=split.train.history)
+                scorer = make_scorer(config.scorer_spec(), index=split.train.history)
             report = evaluate_sets(split.test, sets, scorer, config.seed,
                                    split_label=label, strategy=strategy)
             write_json(split_dir / f"report_{strategy}.json", report.to_dict())

@@ -32,7 +32,7 @@ import numpy as np
 
 from .graph import (DynamicGraph, EdgeBlock, IngestError, NodeRegistry,
                     build_graph)
-from .sampling import Sample, SampleSet
+from .sampling import SampleSet
 from .split import MonthlySplit, WindowSpec
 
 PathLike = Union[str, Path]
@@ -95,33 +95,36 @@ def sample_key(src: int, dst: int, t: int, category: str) -> str:
     return h.hexdigest()
 
 
-def sample_record(sample: Sample, batch: int, with_key: bool = False) -> dict:
-    rec = {"src": sample.src, "dst": sample.dst, "t": sample.t,
-           "label": sample.label, "category": sample.category, "batch": batch}
-    if with_key:
-        rec["key"] = sample_key(sample.src, sample.dst, sample.t, sample.category)
-    return rec
+# A sample record as ``json.dumps`` writes it, up to the batch number:
+# ids are integers, and labels and categories are plain names.
+_SAMPLE_HEAD = '{"src": %d, "dst": %d, "t": %d, "label": "%s", "category": "%s", "batch": '
 
 
 def write_samples_jsonl(path: PathLike, sets: Iterable[SampleSet],
                         *, with_keys: bool = False) -> dict:
-    """Stream sample sets to JSON-lines; returns aggregate counters."""
+    """Stream sample sets to JSON-lines, one write per set; returns
+    aggregate counters."""
     n = 0
     n_batches = 0
     tallies: dict[str, int] = {}
     with atomic_open(path) as fh:
         for ss in sets:
             n_batches += 1
-            for s in ss.samples:
-                fh.write(json.dumps(sample_record(s, ss.origin_batch, with_keys)))
-                fh.write("\n")
-                n += 1
+            head = _SAMPLE_HEAD + str(ss.origin_batch)
+            if with_keys:
+                line = head + ', "key": "%s"}\n'
+                fh.write("".join([line % (src, dst, t, label, cat, sample_key(src, dst, t, cat))
+                                  for src, dst, t, label, cat in ss.rows()]))
+            else:
+                fh.write("".join(map((head + "}\n").__mod__, ss.rows())))
+            n += len(ss)
             for k, v in ss.tallies.items():
                 tallies[k] = tallies.get(k, 0) + int(v)
     return {"n_samples": n, "n_batches": n_batches, "tallies": tallies}
 
 
 _SAMPLE_FIELDS = ("src", "dst", "t", "label", "category", "batch")
+_INT_FIELDS = ("src", "dst", "t", "batch")
 
 
 def read_samples_jsonl(path: PathLike) -> list[dict]:
@@ -135,9 +138,15 @@ def read_samples_jsonl(path: PathLike) -> list[dict]:
                 rec = json.loads(line)
             except json.JSONDecodeError as exc:
                 raise IngestError(f"{path}: line {i}: bad JSON ({exc.msg})") from None
+            if not isinstance(rec, dict):
+                raise IngestError(f"{path}: line {i}: expected a JSON object")
             missing = [f for f in _SAMPLE_FIELDS if f not in rec]
             if missing:
                 raise IngestError(f"{path}: line {i}: missing fields {missing}")
+            # bool is an int subclass, so compare the exact type
+            bad = [f for f in _INT_FIELDS if type(rec[f]) is not int]
+            if bad:
+                raise IngestError(f"{path}: line {i}: fields {bad} must be integers")
             out.append(rec)
     return out
 
@@ -235,8 +244,11 @@ def write_edge_csv(path: PathLike, registry: NodeRegistry, src: np.ndarray,
                    dst: np.ndarray, raw: np.ndarray) -> None:
     path = Path(path)
     delim = _delimiter_for(path)
+    # minimal quoting leaves a bare \r unquoted, and it would end the row when read
+    quote_all = any("\r" in name for name in registry.names())
     with atomic_open(path, "w") as fh:
-        writer = csv.writer(fh, delimiter=delim, lineterminator="\n")
+        writer = csv.writer(fh, delimiter=delim, lineterminator="\n",
+                            quoting=csv.QUOTE_ALL if quote_all else csv.QUOTE_MINIMAL)
         writer.writerow(["src", "dst", "timestamp"])
         for i in range(len(src)):
             writer.writerow([registry.name_of(int(src[i])),

@@ -8,12 +8,16 @@ to themselves. ``sample_dins`` chains them per batch and tops the batch
 up with observed future recurrences of its pairs (positive
 enhancement).
 
-Every strategy but the historical baseline runs on :class:`_Run`, a run
-of consecutive batches sampled together: the one-batch functions are
-runs of one batch, and :func:`sample_batches` cuts a graph into runs of
-about ``RUN_EDGES`` edges. Each batch keeps its own generator and its
-own order of draws, so a batch's samples do not depend on the run it
-was sampled in.
+Every strategy runs on :class:`_Run`, a run of consecutive batches
+sampled together: the one-batch functions are runs of one batch, and
+:func:`sample_batches` cuts a graph into runs of about ``RUN_EDGES``
+edges. Each batch keeps its own generator and its own order of draws,
+so a batch's samples do not depend on the run it was sampled in.
+
+A :class:`SampleSet` holds one batch's samples as columns: ``src``,
+``dst``, ``t`` and a ``code`` into :data:`VOCABULARY`, from which the
+category and the label follow. Its ``samples`` view lists them as
+:class:`Sample` tuples, built once and only when read.
 
 All strategies are pure functions of ``(batch, graph, config, rng)``:
 they never mutate the graph, and every emitted negative is checked to
@@ -30,13 +34,12 @@ import gc
 from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property, partial
-from itertools import repeat
 from typing import Iterator, NamedTuple
 
 import numpy as np
 
 from .config import SamplerConfig, derive_rng, derive_rngs
-from .graph import Batch, DynamicGraph, HistoryIndex, batches
+from .graph import Batch, DynamicGraph, HistoryIndex
 
 # sample labels
 POS = "pos"
@@ -53,6 +56,21 @@ POSITIVE_ENHANCEMENT = "positive_enhancement"
 
 CATEGORIES = (OBSERVED, RANDOM_RECEIVER, RANDOM_SENDER, HISTORICAL,
               TEMPORAL, NEGATIVE_LOOP, POSITIVE_ENHANCEMENT)
+
+# categories only the evaluation draws: a self-loop, and the same pair
+# probed 6h / 12h / 24h later
+LOOP = "loop"
+H6 = "h6"
+H12 = "h12"
+H24 = "h24"
+
+# every category a sample can have; a SampleSet's code indexes it
+VOCABULARY = CATEGORIES + (LOOP, H6, H12, H24)
+
+_CODE = {c: i for i, c in enumerate(VOCABULARY)}
+_CATEGORY_OF = np.array(VOCABULARY, dtype=object)
+_LABEL_OF = np.array([POS if c in (OBSERVED, POSITIVE_ENHANCEMENT) else NEG
+                      for c in VOCABULARY], dtype=object)
 
 
 class Sample(NamedTuple):
@@ -72,23 +90,58 @@ _new_sample = partial(tuple.__new__, Sample)
 class SampleSet:
     """Ordered samples produced from one batch, plus bookkeeping tallies.
 
+    The samples are columns: ``src``, ``dst``, ``t`` (int64) and
+    ``code`` (uint8), the index of each sample's category in
+    :data:`VOCABULARY`.
+
     Tally keys: ``skipped`` (random baseline pool/retry failures),
     ``sender_skipped`` / ``receiver_skipped``, ``temporal_shortfall``,
     ``loop_shortfall``, ``historical_fallback``.
     """
 
-    samples: list[Sample]
+    src: np.ndarray
+    dst: np.ndarray
+    t: np.ndarray
+    code: np.ndarray
     origin_batch: int = 0
     tallies: Counter = field(default_factory=Counter)
 
-    def __len__(self) -> int:
-        return len(self.samples)
+    @classmethod
+    def of(cls, src, dst, t, category: str, origin_batch: int = 0,
+           tallies: Counter | None = None) -> "SampleSet":
+        """Samples that all have one category."""
+        src, dst, t = (np.asarray(a, dtype=np.int64) for a in (src, dst, t))
+        return cls(src, dst, t, np.full(src.size, _CODE[category], dtype=np.uint8),
+                   origin_batch, Counter() if tallies is None else tallies)
 
-    def count(self, category: str) -> int:
-        return sum(1 for s in self.samples if s.category == category)
+    def __len__(self) -> int:
+        return self.code.size
+
+    def rows(self) -> Iterator[tuple]:
+        """(src, dst, t, label, category) of each sample, as Python values."""
+        return zip(self.src.tolist(), self.dst.tolist(), self.t.tolist(),
+                   _LABEL_OF[self.code].tolist(), _CATEGORY_OF[self.code].tolist())
+
+    @cached_property
+    def samples(self) -> list[Sample]:
+        """The samples as :class:`Sample` tuples, built on first read.
+
+        The cyclic collector is paused while the list fills: samples are
+        tracked tuples that never form cycles, and a collection during the
+        fill would move the whole batch to the oldest generation, whose full
+        collections then cost more than making the samples.
+        """
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            return list(map(_new_sample, self.rows()))
+        finally:
+            if enabled:
+                gc.enable()
 
     def by_category(self) -> Counter:
-        return Counter(s.category for s in self.samples)
+        counts = np.bincount(self.code, minlength=len(VOCABULARY)).tolist()
+        return Counter({c: n for c, n in zip(VOCABULARY, counts) if n})
 
 
 def batch_rng(seed: int, batch_index: int) -> np.random.Generator:
@@ -493,6 +546,34 @@ class _Run:
         return (np.array(out_e, dtype=np.int64), np.array(out_slot, dtype=np.int64),
                 np.array(out_bin, dtype=np.int64))
 
+    def historical(self, cap: int) -> tuple[np.ndarray, ...]:
+        """A pair first seen before each edge's bin, else a replaced receiver.
+
+        Per edge, in edge order: up to ``cap`` draws of an earlier pair,
+        kept once it is not an edge at the bin; when there is none or
+        every draw collides, a receiver replacement. Returns each edge's
+        (src, dst), -1 where the replacement failed too, and whether it
+        fell back.
+        """
+        idx, n = self.idx, self.graph.n
+        out = np.full((2, self.t.size), -1, dtype=np.int64)
+        fell = np.zeros(self.t.size, dtype=bool)
+        for i, (b, u, v, t, c) in enumerate(zip(
+                self.bid.tolist(), self.src.tolist(), self.dst.tolist(),
+                self.t.tolist(), idx.prior_pair_counts(self.t).tolist())):
+            draw = self.draws.draw(b)
+            for _ in range(cap if c else 0):
+                pair = idx.prior_pair(draw(0, c))
+                if not idx.pair_occurred(*pair, t):
+                    out[:, i] = pair
+                    break
+            else:
+                fell[i] = True
+                r = _redraw_nonedge(draw, idx, n, u, v, t, True, cap)
+                if r >= 0:
+                    out[:, i] = u, r
+        return out[0], out[1], fell
+
     def loops(self, pool_mode: str, cap: int) -> tuple[np.ndarray, ...]:
         """One negative self-loop per distinct bin of each batch.
 
@@ -560,6 +641,7 @@ class _Run:
 # strategy -> the mechanisms it runs, in the order they use the generator
 _MECHANISMS = {
     "random": ("receiver",),
+    "historical": ("historical",),
     "sender_receiver": ("sender", "receiver"),
     "temporal": ("temporal",),
     "loops": ("loops",),
@@ -567,39 +649,14 @@ _MECHANISMS = {
     "enhancement": ("enhancement",),
 }
 
-_CODE = {c: i for i, c in enumerate(CATEGORIES)}
-_CATEGORY_OF = np.array(CATEGORIES, dtype=object)
-_LABEL_OF = np.array([POS if c in (OBSERVED, POSITIVE_ENHANCEMENT) else NEG
-                      for c in CATEGORIES], dtype=object)
-
-
-def _make_samples(cols: np.ndarray, codes: np.ndarray) -> list[Sample]:
-    """Samples from (src, dst, t) columns and category codes.
-
-    The cyclic collector is paused while the list fills: samples are
-    tracked tuples that never form cycles, and a collection during the
-    fill would move the whole batch to the oldest generation, whose full
-    collections then cost more than making the samples.
-    """
-    src, dst, t = cols.tolist()
-    enabled = gc.isenabled()
-    gc.disable()
-    try:
-        return list(map(_new_sample, zip(src, dst, t, _LABEL_OF[codes].tolist(),
-                                         _CATEGORY_OF[codes].tolist())))
-    finally:
-        if enabled:
-            gc.enable()
-
-
 def _sample_run(run: _Run, config: SamplerConfig, strategy: str, pool_mode: str = "batch",
                 include_positives: bool = False) -> tuple[np.ndarray, np.ndarray, list, list]:
     """Every sample of the run, packed: (src, dst, t) columns, category
     codes, each batch's end in them, and each batch's tallies.
 
     A batch's samples are its own edges as observed positives (with
-    ``include_positives``), its per-edge blocks (sender, receiver, then
-    temporal negatives of each edge, in edge order), its loops, and its
+    ``include_positives``), its per-edge blocks (sender, receiver or
+    historical, then temporal negatives of each edge, in edge order), its loops, and its
     enhancement positives.
     """
     mech = _MECHANISMS[strategy]
@@ -619,6 +676,11 @@ def _sample_run(run: _Run, config: SamplerConfig, strategy: str, pool_mode: str 
         r_ok = receivers >= 0
         skips.append(("skipped" if strategy == "random" else "receiver_skipped", r_ok))
     per_edge = lead + (r_ok if receivers is not None else 0)
+    if "historical" in mech:
+        hsrc, hdst, fell = run.historical(cap)
+        h_ok = hsrc >= 0
+        per_edge = per_edge + h_ok
+        skips.append(("skipped", h_ok))
     if "temporal" in mech:
         te, tslot, tbin = run.temporal(config.q, config.t_f, config.temporal_retry_cap)
         per_edge = per_edge + np.bincount(te, minlength=n_edges)
@@ -653,6 +715,10 @@ def _sample_run(run: _Run, config: SamplerConfig, strategy: str, pool_mode: str 
         e = np.flatnonzero(r_ok)
         put(at[e] + lead[e], src[e], receivers[e], t[e], RANDOM_RECEIVER)
         lead = lead + r_ok
+    if "historical" in mech:
+        e = np.flatnonzero(h_ok)
+        put(at[e], hsrc[e], hdst[e], t[e], HISTORICAL)
+        codes[at[np.flatnonzero(h_ok & fell)]] = _CODE[RANDOM_RECEIVER]
     if "temporal" in mech:
         put(at[te] + lead[te] + tslot, src[te], dst[te], tbin, TEMPORAL)
     loops_at = head + n_obs + block
@@ -665,6 +731,9 @@ def _sample_run(run: _Run, config: SamplerConfig, strategy: str, pool_mode: str 
 
     named = [(name, (run.sizes - np.bincount(bid[ok], minlength=n_batches)).tolist())
              for name, ok in skips]
+    if "historical" in mech:
+        named.append(("historical_fallback",
+                      np.bincount(bid[fell], minlength=n_batches).tolist()))
     if "temporal" in mech:
         named.append(("temporal_shortfall",
                       (config.q * run.sizes
@@ -677,18 +746,17 @@ def _sample_run(run: _Run, config: SamplerConfig, strategy: str, pool_mode: str 
 
 def _sample_sets(indices: list[int], cols: np.ndarray, codes: np.ndarray,
                  ends: list[int], tallies: list) -> Iterator[SampleSet]:
-    """The SampleSets of a packed run; each batch's samples are made as it
-    is yielded, so that only the batches a consumer keeps stay alive."""
+    """The SampleSets of a packed run, each a slice of its columns."""
     lo = 0
     for index, hi, tally in zip(indices, ends, tallies):
-        yield SampleSet(_make_samples(cols[:, lo:hi], codes[lo:hi]), index, tally)
+        yield SampleSet(*cols[:, lo:hi], codes[lo:hi], index, tally)
         lo = hi
 
 
 def _sample_one(strategy: str, batch: Batch, graph: DynamicGraph,
                 config: SamplerConfig, rng, pool_mode: str = "batch") -> SampleSet:
     if len(batch) == 0:
-        return SampleSet([], batch.index, Counter())
+        return SampleSet.of([], [], [], OBSERVED, batch.index)
     run = _Run(graph, _Calls([rng]), batch.src, batch.dst, batch.t, [len(batch)],
                [batch.index])
     return next(_sample_sets(run.indices, *_sample_run(run, config, strategy, pool_mode)))
@@ -720,32 +788,7 @@ def sample_historical_baseline(batch: Batch, graph: DynamicGraph,
     the random baseline for that positive and count it under
     ``historical_fallback``.
     """
-    idx = graph.history
-    tallies: Counter = Counter()
-    out: list[Sample] = []
-    if len(batch) == 0:
-        return SampleSet(out, batch.index, tallies)
-    counts = idx.prior_pair_counts(batch.t)
-    cap = config.node_retry_cap
-    for i in range(len(batch)):
-        u, v, t = int(batch.src[i]), int(batch.dst[i]), int(batch.t[i])
-        c = int(counts[i])
-        emitted = False
-        if c > 0:
-            for _ in range(cap):
-                u2, v2 = idx.prior_pair(int(rng.integers(0, c)))
-                if not idx.pair_occurred(u2, v2, t):
-                    out.append(Sample(u2, v2, t, NEG, HISTORICAL))
-                    emitted = True
-                    break
-        if not emitted:
-            tallies["historical_fallback"] += 1
-            r = _redraw_nonedge(_Calls([rng]).draw(0), idx, graph.n, u, v, t, True, cap)
-            if r < 0:
-                tallies["skipped"] += 1
-            else:
-                out.append(Sample(u, r, t, NEG, RANDOM_RECEIVER))
-    return SampleSet(out, batch.index, tallies)
+    return _sample_one("historical", batch, graph, config, rng)
 
 
 def sample_sender_receiver(batch: Batch, graph: DynamicGraph,
@@ -795,7 +838,7 @@ def positive_enhancement(batch: Batch, graph: DynamicGraph, k: int) -> SampleSet
     batch, stopping after ``k``. Purely deterministic; no randomness.
     """
     if k <= 0:
-        return SampleSet([], batch.index, Counter())
+        return SampleSet.of([], [], [], OBSERVED, batch.index)
     return _sample_one("enhancement", batch, graph, SamplerConfig(k=k), None)
 
 
@@ -823,11 +866,6 @@ STRATEGIES = {
 }
 
 
-def _observed(batch: Batch) -> list[Sample]:
-    return list(map(_new_sample, zip(batch.src.tolist(), batch.dst.tolist(),
-                                     batch.t.tolist(), repeat(POS), repeat(OBSERVED))))
-
-
 def sample_batches(graph: DynamicGraph, strategy: str, config: SamplerConfig,
                    *, pool_mode: str = "batch",
                    include_positives: bool = False) -> Iterator[SampleSet]:
@@ -842,18 +880,10 @@ def sample_batches(graph: DynamicGraph, strategy: str, config: SamplerConfig,
     if strategy not in STRATEGIES:
         raise ValueError(f"unknown strategy {strategy!r}; "
                          f"choose from {sorted(STRATEGIES)}")
-    if strategy == "historical":
-        for batch in batches(graph, config.k):
-            ss = sample_historical_baseline(batch, graph, config,
-                                            batch_rng(config.seed, batch.index))
-            if include_positives:
-                ss = SampleSet(_observed(batch) + ss.samples, ss.origin_batch, ss.tallies)
-            yield ss
-        return
     k, m = config.k, graph.m
     step = max(1, RUN_EDGES // k)
     # replayed integer draws cover ranges of up to 2**32 values
-    replay = graph.n <= 2**32 and graph.t_max < 2**32
+    replay = max(graph.n, graph.m, graph.t_max + 1) <= 2**32
     for first in range(0, (m + k - 1) // k, step):
         indices = list(range(first, min(first + step, (m + k - 1) // k)))
         lo, hi = first * k, min((indices[-1] + 1) * k, m)

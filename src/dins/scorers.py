@@ -13,32 +13,12 @@ from __future__ import annotations
 
 import hashlib
 import math
-from dataclasses import dataclass
 from typing import Callable, Optional
 
-from .config import DEFAULT_RECENCY_DECAY
+# SCORER_KINDS and ScorerSpec live in config, which checks them up front
+from .config import DEFAULT_RECENCY_DECAY, SCORER_KINDS, ScorerSpec  # noqa: F401
 from .graph import HistoryIndex
 from .sampling import Sample
-
-SCORER_KINDS = ("constant", "random", "memory", "recency")
-
-
-@dataclass(frozen=True)
-class ScorerSpec:
-    """Which scorer to use and its parameters."""
-
-    kind: str
-    lam: float = DEFAULT_RECENCY_DECAY   # recency decay per bin
-    seed: int = 0
-
-    def __post_init__(self):
-        if self.kind not in SCORER_KINDS:
-            raise ValueError(f"unknown scorer {self.kind!r}; "
-                             f"choose from {SCORER_KINDS}")
-        if self.lam <= 0:
-            raise ValueError("lam must be positive")
-        if self.seed < 0:
-            raise ValueError("seed must be non-negative")
 
 
 def score_memory(index: HistoryIndex, src: int, dst: int) -> float:

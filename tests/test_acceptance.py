@@ -22,7 +22,7 @@ from dins import (SamplerConfig, build_eval_sets, build_graph, combined_index,
                   make_scorer, make_split, monthly_schedule, sample_batches,
                   sample_dins, window_pairs)
 from dins.config import derive_rng
-from dins.evaluation import H_OFFSETS, _auc_arrays, positives_of
+from dins.evaluation import H_OFFSETS, auc, positives_of
 from dins.graph import batches, stats as graph_stats
 from dins.sampling import (NEG, NEGATIVE_LOOP, POSITIVE_ENHANCEMENT,
                            RANDOM_RECEIVER, RANDOM_SENDER, STRATEGIES,
@@ -167,7 +167,7 @@ def test_acceptance_4_auc_correctness():
     def rank_auc(pos, neg):
         labels = np.concatenate([np.ones(pos.size, dtype=bool),
                                  np.zeros(neg.size, dtype=bool)])
-        return _auc_arrays(labels, np.concatenate([pos, neg]))
+        return auc(labels, np.concatenate([pos, neg]))
 
     worst = 0.0
     for _ in range(1000):
@@ -245,13 +245,13 @@ def test_acceptance_7_gap_pattern_detects_memory_collapse():
     scorer = make_scorer(ScorerSpec(kind="memory"), index=split.train.history)
     # the recurrence gap leaves no room for the 12h/24h probes here, so
     # compare just the two categories the guarantee names
-    pos_scores = np.array([scorer(s) for s in positives_of(split.test)])
+    pos_scores = np.array([scorer(s) for s in positives_of(split.test).samples])
 
     def cat_auc(cat: str) -> float:
         neg = np.array([scorer(s) for s in sets[cat].samples])
         labels = np.concatenate([np.ones(pos_scores.size, dtype=bool),
                                  np.zeros(neg.size, dtype=bool)])
-        return _auc_arrays(labels, np.concatenate([pos_scores, neg]))
+        return auc(labels, np.concatenate([pos_scores, neg]))
 
     h6 = cat_auc("h6")
     rr = cat_auc("random_receiver")

@@ -80,6 +80,36 @@ def test_samples_jsonl_reader_reports_line_numbers(tmp_path):
     path.write_text(good + "\n" + json.dumps({"src": 0, "dst": 1}) + "\n")
     with pytest.raises(IngestError, match="line 2.*missing"):
         read_samples_jsonl(path)
+    for line, message in [
+        ("5", "line 2: expected a JSON object"),
+        (good.replace('"src": 0', '"src": "x"'), r"line 2: fields \['src'\] must be integers"),
+        (good.replace('"t": 2', '"t": 2.5').replace('"batch": 0', '"batch": true'),
+         r"line 2: fields \['t', 'batch'\] must be integers"),
+    ]:
+        path.write_text(good + "\n" + line + "\n")
+        with pytest.raises(IngestError, match=message):
+            read_samples_jsonl(path)
+    code, _, err = run_cli("score", "--scorer", "constant", "--samples", str(path),
+                           "--out", str(tmp_path / "scores.jsonl"))
+    assert code == 1 and "line 2: fields ['t', 'batch']" in json.loads(err)["message"]
+
+
+def test_sample_lines_are_json_dumps_of_their_records(tmp_path):
+    g = build_graph(multi_month_records(10, 150, 2, seed=1))
+    sets = list(sample_batches(g, "dins", SamplerConfig(k=64, q=3, seed=2),
+                               include_positives=True))
+    path = tmp_path / "s.jsonl"
+    for keyed in (False, True):
+        write_samples_jsonl(path, sets, with_keys=keyed)
+        want = []
+        for ss in sets:
+            for s in ss.samples:
+                rec = {"src": s.src, "dst": s.dst, "t": s.t, "label": s.label,
+                       "category": s.category, "batch": ss.origin_batch}
+                if keyed:
+                    rec["key"] = sample_key(s.src, s.dst, s.t, s.category)
+                want.append(json.dumps(rec) + "\n")
+        assert path.read_text() == "".join(want)
 
 
 def test_scores_jsonl_roundtrip_and_errors(tmp_path):
@@ -327,11 +357,18 @@ def test_invalid_flags_are_rejected_up_front(months_csv, tmp_path):
          "val_fraction must be in [0, 1]"),
         (("stats", str(months_csv), "--min-month-edges", "-1"),
          "min_month_edges must be non-negative"),
+        (("run", str(months_csv), "--out-dir", str(out_dir), "--lambda", "-1"),
+         "lam must be positive"),
+        # evaluate checks its scorer before it reads the split directory
+        (("evaluate", "--split-dir", str(out_dir), "--scorer-seed", "-1"),
+         "seed must be non-negative"),
     ]:
         code, out, err = run_cli(*argv)
         assert code == 1 and out == ""
         assert json.loads(err)["message"] == message
     assert not out_dir.exists()
+    with pytest.raises(ValueError, match="lam must be positive"):
+        PipelineConfig(dataset="x", scorer_lambda=-1)
 
 
 def test_cli_defaults_are_the_config_defaults(months_csv, tmp_path):

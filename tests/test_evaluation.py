@@ -8,13 +8,13 @@ import numpy as np
 import pytest
 
 from dins import (EVAL_NEGATIVE_CATEGORIES, H_OFFSETS, EvalReport,
-                  MissingScoresError, ScoredSample, UndefinedMetricError, auc,
+                  MissingScoresError, UndefinedMetricError, auc,
                   build_eval_set, build_eval_sets, build_graph, combined_index,
                   derive_rng, evaluate_sets, make_split, monthly_schedule,
                   sample_key)
-from dins.evaluation import _auc_arrays, positives_of
+from dins.evaluation import positives_of
 from dins.graph import EdgeBlock
-from dins.sampling import NEG, POS, Sample
+from dins.sampling import NEG, POS
 
 from conftest import brute_auc, triple_set
 
@@ -22,34 +22,33 @@ W = 300
 
 
 def scored(pairs):
-    """[(label, score)] -> [ScoredSample] with throwaway samples."""
-    return [ScoredSample(Sample(0, 1, i, lab, "x"), sc)
-            for i, (lab, sc) in enumerate(pairs)]
+    """[(label, score)] -> (labels, scores), the arguments of auc."""
+    return [lab == POS for lab, _ in pairs], [sc for _, sc in pairs]
 
 
 # -- AUC ------------------------------------------------------------------------
 
 
 def test_auc_textbook_case():
-    got = auc(scored([(POS, 0.9), (POS, 0.8), (NEG, 0.7), (NEG, 0.85)]))
+    got = auc(*scored([(POS, 0.9), (POS, 0.8), (NEG, 0.7), (NEG, 0.85)]))
     assert got == pytest.approx(0.75, abs=1e-15)
 
 
 def test_auc_perfect_and_inverted():
-    assert auc(scored([(POS, 1.0), (NEG, 0.0)])) == 1.0
-    assert auc(scored([(POS, 0.0), (NEG, 1.0)])) == 0.0
+    assert auc(*scored([(POS, 1.0), (NEG, 0.0)])) == 1.0
+    assert auc(*scored([(POS, 0.0), (NEG, 1.0)])) == 0.0
 
 
 def test_auc_all_tied_is_half():
-    got = auc(scored([(POS, 0.5)] * 7 + [(NEG, 0.5)] * 13))
+    got = auc(*scored([(POS, 0.5)] * 7 + [(NEG, 0.5)] * 13))
     assert got == 0.5
 
 
 def test_auc_requires_both_classes():
     with pytest.raises(UndefinedMetricError):
-        auc(scored([(POS, 0.3), (POS, 0.6)]))
+        auc(*scored([(POS, 0.3), (POS, 0.6)]))
     with pytest.raises(UndefinedMetricError):
-        auc(scored([(NEG, 0.3)]))
+        auc(*scored([(NEG, 0.3)]))
 
 
 def test_auc_matches_brute_force_on_random_sets():
@@ -62,7 +61,7 @@ def test_auc_matches_brute_force_on_random_sets():
         neg = rng.integers(0, 6, size=n_neg) / 5.0
         labels = np.r_[np.ones(n_pos, bool), np.zeros(n_neg, bool)]
         scores = np.r_[pos, neg]
-        assert _auc_arrays(labels, scores) == pytest.approx(
+        assert auc(labels, scores) == pytest.approx(
             brute_auc(pos.tolist(), neg.tolist()), abs=1e-12)
 
 
@@ -72,9 +71,9 @@ def test_auc_invariant_under_monotone_transform():
     labels[:1] = True
     labels[-1:] = False
     scores = rng.integers(0, 50, size=200).astype(float)
-    base = _auc_arrays(labels, scores)
-    assert _auc_arrays(labels, 3.0 * scores + 11.0) == pytest.approx(base, abs=1e-12)
-    assert _auc_arrays(labels, np.exp(scores / 10.0)) == pytest.approx(base, abs=1e-12)
+    base = auc(labels, scores)
+    assert auc(labels, 3.0 * scores + 11.0) == pytest.approx(base, abs=1e-12)
+    assert auc(labels, np.exp(scores / 10.0)) == pytest.approx(base, abs=1e-12)
 
 
 def test_auc_label_flip_complements():
@@ -82,8 +81,8 @@ def test_auc_label_flip_complements():
     labels = rng.random(150) < 0.5
     labels[0], labels[1] = True, False
     scores = rng.random(150)  # continuous -> no ties
-    assert _auc_arrays(~labels, scores) == pytest.approx(
-        1.0 - _auc_arrays(labels, scores), abs=1e-12)
+    assert auc(~labels, scores) == pytest.approx(
+        1.0 - auc(labels, scores), abs=1e-12)
 
 
 # -- category construction --------------------------------------------------------
@@ -209,9 +208,9 @@ def test_two_communities_give_perfect_replacement_auc():
     sets = build_eval_sets(test, g, index, seed=1)
     for cat in ("random_sender", "random_receiver"):
         assert sets[cat].tallies.get("shortfall", 0) == 0
-        pos = [ScoredSample(s, same_community(s)) for s in positives_of(test)]
-        neg = [ScoredSample(s, same_community(s)) for s in sets[cat].samples]
-        assert auc(pos + neg) == 1.0
+        pos = [same_community(s) for s in positives_of(test).samples]
+        neg = [same_community(s) for s in sets[cat].samples]
+        assert auc([True] * len(pos) + [False] * len(neg), pos + neg) == 1.0
 
 
 # -- scoring & reports -------------------------------------------------------------
@@ -258,7 +257,7 @@ def test_mapping_scorer_and_missing_keys():
     g, test, index = eval_fixture()
     sets = build_eval_sets(test, g, index, seed=0)
     full = {}
-    for s in positives_of(test):
+    for s in positives_of(test).samples:
         full[sample_key(s.src, s.dst, s.t, s.category)] = 0.9
     for ss in sets.values():
         for s in ss.samples:

@@ -5,14 +5,22 @@ touches every sampler, the scalar and vectorized index lookups, the
 evaluation sets, scoring and every writer. The pinned sha256 values
 were taken before the history index was rewritten around pair rows; a
 change that must alter an artifact updates its digest and says why.
+``dins sample`` on the same data pins the keyed and negatives-only
+sample files, which a run never writes; those digests were taken
+before samples became columns.
 """
 
 from __future__ import annotations
 
 import csv
 import hashlib
+import io
+from contextlib import redirect_stdout
 from pathlib import Path
 
+import pytest
+
+from dins.cli import main
 from dins.config import PipelineConfig
 from dins.graph import build_graph
 from dins.runner import run_experiment
@@ -95,15 +103,34 @@ GOLDEN = {
 }
 
 
+SAMPLE_GOLDEN = {
+    ("dins", False):
+        "8331109329705a39fea24ab0fc8cbdb881fdf62f1facab20c8580f1195ecd5e4",
+    ("dins", True):
+        "fbeda729be91c03da7d2fe1025db9a66d94bc7ada3e750905ec1b5159fc2076c",
+    ("historical", False):
+        "69d1aacef4697b966109034fdaa6050bfd6f9f1a2f698f2742a04b37091c96ed",
+    ("historical", True):
+        "82625534b1cd840ffcfa03e8c3ea861ee53c4eda0e63d5bd2bab18769e91908d",
+}
+
+
+def write_golden_csv(path: Path) -> list:
+    records = multi_month_records(120, 1500, 3, seed=11)
+    with open(path, "w", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(["src", "dst", "timestamp"])
+        w.writerows(records)
+    return records
+
+
 def run_digests(workdir: Path, jobs: int = 1, in_memory: bool = False) -> dict[str, str]:
     """sha256 of every file a run over the golden dataset writes. With
     ``in_memory`` the run is handed the graph and no dataset file exists."""
-    records = multi_month_records(120, 1500, 3, seed=11)
-    if not in_memory:
-        with open(workdir / "golden.csv", "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["src", "dst", "timestamp"])
-            w.writerows(records)
+    if in_memory:
+        records = multi_month_records(120, 1500, 3, seed=11)
+    else:
+        records = write_golden_csv(workdir / "golden.csv")
     config = PipelineConfig(dataset="golden.csv", batch_size=250, q=3, t_f=144,
                             seed=5, strategies=tuple(sorted(STRATEGIES)),
                             scorer="recency")
@@ -130,3 +157,16 @@ def test_parallel_run_uses_the_given_graph(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     assert run_digests(tmp_path, jobs=2, in_memory=True) == GOLDEN
     assert not (tmp_path / "golden.csv").exists()
+
+
+@pytest.mark.parametrize("strategy,keyed", sorted(SAMPLE_GOLDEN))
+def test_sample_command_digests(tmp_path, strategy, keyed):
+    write_golden_csv(tmp_path / "golden.csv")
+    out = tmp_path / "samples.jsonl"
+    extra = ["--with-keys", "--negatives-only"] if keyed else []
+    with redirect_stdout(io.StringIO()):
+        code = main(["sample", str(tmp_path / "golden.csv"), "--strategy", strategy,
+                     "--out", str(out), "--batch-size", "250", "--q", "3",
+                     "--tf", "144", "--seed", "5", *extra])
+    assert code == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == SAMPLE_GOLDEN[(strategy, keyed)]

@@ -16,7 +16,7 @@ from dins import (SamplerConfig, batch_rng, batches, build_graph, sample_batches
 from dins.config import derive_rng, derive_rngs
 from dins.sampling import (HISTORICAL, NEG, NEGATIVE_LOOP, OBSERVED, POS,
                            POSITIVE_ENHANCEMENT, RANDOM_RECEIVER,
-                           RANDOM_SENDER, TEMPORAL, Sample, SampleSet, _Calls,
+                           RANDOM_SENDER, TEMPORAL, VOCABULARY, Sample, _Calls,
                            _Replay, positive_enhancement, sample_dins,
                            sample_historical_baseline, sample_negative_loops,
                            sample_random_baseline, sample_sender_receiver,
@@ -354,7 +354,9 @@ def test_standalone_batches_equal_their_stream_batches(g, k, seed, pool_mode):
     blocks = batches(g, k)
     for name, fn in (("dins", sample_dins), ("temporal", sample_temporal),
                      ("loops", sample_negative_loops),
-                     ("sender_receiver", sample_sender_receiver)):
+                     ("sender_receiver", sample_sender_receiver),
+                     ("historical", sample_historical_baseline),
+                     ("random", sample_random_baseline)):
         kw = {"pool_mode": pool_mode} if name in ("dins", "loops") else {}
         stream = list(sample_batches(g, name, cfg, **kw))
         assert [ss.origin_batch for ss in stream] == list(range(len(blocks)))
@@ -455,6 +457,22 @@ def test_sample_batches_observed_prefix(tiny_graph):
         assert all(s.label == POS and s.category == OBSERVED for s in head)
         assert [(s.src, s.dst, s.t) for s in head] == \
             list(zip(batch.src.tolist(), batch.dst.tolist(), batch.t.tolist()))
+
+
+def test_sample_set_columns_and_view(tiny_graph):
+    # the columns are the samples; the view is built once and agrees
+    cfg = SamplerConfig(k=3, seed=4, q=2, t_f=6)
+    for ss in sample_batches(tiny_graph, "dins", cfg, include_positives=True):
+        assert ss.src.dtype == ss.dst.dtype == ss.t.dtype == np.int64
+        assert ss.code.dtype == np.uint8 and len(ss) == ss.code.size
+        view = ss.samples
+        assert ss.samples is view
+        assert [(s.src, s.dst, s.t) for s in view] == \
+            list(zip(ss.src.tolist(), ss.dst.tolist(), ss.t.tolist()))
+        assert [s.category for s in view] == [VOCABULARY[c] for c in ss.code.tolist()]
+        assert all(s.label == (POS if s.category in (OBSERVED, POSITIVE_ENHANCEMENT)
+                               else NEG) for s in view)
+        assert ss.by_category() == Counter(s.category for s in view)
 
 
 def test_unknown_strategy_rejected(tiny_graph):

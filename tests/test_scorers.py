@@ -7,7 +7,7 @@ import math
 import numpy as np
 import pytest
 
-from dins import ScoredSample, auc, build_graph, make_scorer
+from dins import auc, build_graph, make_scorer
 from dins.sampling import NEG, POS, Sample
 from dins.scorers import (ScorerSpec, score_constant, score_memory,
                           score_random, score_recency)
@@ -41,11 +41,8 @@ def test_memory_gives_perfect_auc_on_seen_vs_unseen(train_index):
     g, idx = train_index
     scorer = make_scorer(ScorerSpec(kind="memory"), index=idx)
     a, b, c = (g.registry.id_of(x) for x in "abc")
-    pos = [ScoredSample(s(a, b, 50), scorer(s(a, b, 50))),
-           ScoredSample(s(b, c, 60), scorer(s(b, c, 60)))]
-    neg = [ScoredSample(s(c, a, 50, label=NEG), scorer(s(c, a, 50, label=NEG))),
-           ScoredSample(s(b, a, 60, label=NEG), scorer(s(b, a, 60, label=NEG)))]
-    assert auc(pos + neg) == 1.0
+    pool = [s(a, b, 50), s(b, c, 60), s(c, a, 50, label=NEG), s(b, a, 60, label=NEG)]
+    assert auc([x.label == POS for x in pool], [scorer(x) for x in pool]) == 1.0
 
 
 # -- recency ----------------------------------------------------------------------
@@ -91,10 +88,9 @@ def test_recency_monotone_in_gap(train_index):
 def test_constant_anchors_auc_at_half():
     assert score_constant() == 0.5
     rng = np.random.default_rng(0)
-    pool = [ScoredSample(s(int(rng.integers(9)), 1, i,
-                           label=POS if i % 3 else NEG), 0.5)
+    pool = [s(int(rng.integers(9)), 1, i, label=POS if i % 3 else NEG)
             for i in range(60)]
-    assert auc(pool) == 0.5
+    assert auc([x.label == POS for x in pool], [0.5] * len(pool)) == 0.5
 
 
 def test_random_scorer_is_pure_and_seeded():
@@ -110,11 +106,10 @@ def test_random_scorer_near_half_on_balanced_set():
     spec = ScorerSpec(kind="random", seed=3)
     scorer = make_scorer(spec)
     n = 4000
-    pool = [ScoredSample(s(i, i + 1, i, label=POS if i % 2 else NEG),
-                         scorer(s(i, i + 1, i, label=POS if i % 2 else NEG)))
-            for i in range(n)]
+    pool = [s(i, i + 1, i, label=POS if i % 2 else NEG) for i in range(n)]
     # binomial concentration: 3 / sqrt(N) around 0.5
-    assert abs(auc(pool) - 0.5) < 3.0 / math.sqrt(n)
+    assert abs(auc([x.label == POS for x in pool], [scorer(x) for x in pool]) - 0.5) \
+        < 3.0 / math.sqrt(n)
 
 
 # -- spec / factory ------------------------------------------------------------------

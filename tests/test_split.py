@@ -8,6 +8,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dins import WindowSpec, build_graph, make_split, monthly_schedule, window_pairs
 from dins.sample_io import load_dataset, read_split_dir, write_split_dir
@@ -170,6 +172,61 @@ def test_bom_crlf_csv_ingests_and_roundtrips(tmp_path):
         for col in ("src", "dst", "t", "raw"):
             assert np.array_equal(getattr(got, col), getattr(want, col))
     assert len(loaded.val) + len(loaded.test) == 3
+
+
+# Node names as a spreadsheet may hold them: the delimiters, quotes,
+# inner spaces and line breaks, and text outside ASCII. Ingest strips the
+# ends of a name, so names are drawn stripped.
+NAMES = st.text(alphabet="ab\u00e9 ,;\t\"'#\r\n", min_size=1, max_size=5).map(str.strip).filter(bool)
+DAY = 86_400
+
+
+@given(names=st.lists(NAMES, min_size=2, max_size=6, unique=True),
+       edges=st.lists(st.tuples(st.integers(0, 5), st.integers(0, 5),
+                                st.integers(0, 59 * DAY - 1)), min_size=1, max_size=40),
+       tsv=st.booleans(), bom=st.booleans(), crlf=st.booleans(),
+       empty_eval=st.booleans(), val_fraction=st.sampled_from([0.0, 0.3, 0.5, 1.0]))
+@settings(max_examples=80, deadline=None)
+def test_csv_ingest_and_split_files_roundtrip(tmp_path_factory, names, edges, tsv, bom,
+                                              crlf, empty_eval, val_fraction):
+    # January always has an edge; with empty_eval, February has none
+    offsets = [off % (31 * DAY) if i == 0 or empty_eval else off
+               for i, (_, _, off) in enumerate(edges)]
+    records = [(names[u % len(names)], names[v % len(names)], JAN + off)
+               for (u, v, _), off in zip(edges, offsets)]
+    d = tmp_path_factory.mktemp("csv")
+    path = d / ("edges.tsv" if tsv else "edges.csv")
+    with open(path, "w", newline="", encoding="utf-8-sig" if bom else "utf-8") as fh:
+        # the minimal quoting leaves a bare \r unquoted unless it ends lines
+        w = csv.writer(fh, delimiter="\t" if tsv else ",",
+                       lineterminator="\r\n" if crlf else "\n",
+                       quoting=csv.QUOTE_ALL if "\r" in "".join(names) else csv.QUOTE_MINIMAL)
+        w.writerow(["src", "dst", "timestamp"])
+        w.writerows(records)
+
+    g = load_dataset(path)
+    first = min(r[2] for r in records)
+    want = sorted(records, key=lambda r: (r[2] - first) // W)    # stable, like ingest
+    names_of = g.registry.name_of
+    assert [(names_of(u), names_of(v), raw) for u, v, raw in
+            zip(g.src.tolist(), g.dst.tolist(), g.raw.tolist())] == want
+    assert np.array_equal(g.t, (g.raw - first) // W)
+
+    jan, feb = WindowSpec("2021-01", JAN, FEB), WindowSpec("2021-02", FEB, MAR)
+    split = make_split(g, jan, feb, val_fraction=val_fraction)
+    if empty_eval:
+        assert len(split.val) == len(split.test) == split.dropped_count == 0
+    write_split_dir(d / "split", split)
+    loaded = read_split_dir(d / "split")
+    assert loaded.train.registry.names() == split.train.registry.names()
+    assert (loaded.train.raw_anchor, loaded.train.bin_width_seconds) == \
+        (split.train.raw_anchor, split.train.bin_width_seconds)
+    for got, want_block in ((loaded.train, split.train), (loaded.val, split.val),
+                            (loaded.test, split.test)):
+        for col in ("src", "dst", "t", "raw"):
+            assert getattr(got, col).tolist() == getattr(want_block, col).tolist()
+    assert (loaded.train_window, loaded.eval_window) == (jan, feb)
+    assert (loaded.dropped_count, loaded.val_fraction) == (split.dropped_count, val_fraction)
 
 
 def test_windows_file_formats(tmp_path):
