@@ -31,7 +31,7 @@ from .config import derive_rng
 from .graph import DynamicGraph, EdgeBlock, HistoryIndex
 from .sample_io import sample_key
 from .sampling import (H6, H12, H24, LOOP, OBSERVED, RANDOM_RECEIVER, RANDOM_SENDER,
-                       Sample, SampleSet, _Calls, _replacement_column, _retry_loop_pick)
+                       Sample, SampleSet, _Replay, _replacement_column, _retry_loop_pick)
 
 __all__ = [
     "EVAL_CATEGORIES", "EVAL_NEGATIVE_CATEGORIES", "H_OFFSETS",
@@ -124,16 +124,14 @@ def build_eval_set(test_positives: EdgeBlock, graph: DynamicGraph,
     if len(test_positives) == 0:
         raise ValueError("no test positives to evaluate")
     src, dst, ts = test_positives.src, test_positives.dst, test_positives.t
+    draws = _Replay.of(rng)
 
     if category in (RANDOM_SENDER, RANDOM_RECEIVER):
         replace_dst = category == RANDOM_RECEIVER
-        r = _replacement_column(_Calls([rng]), np.zeros(src.size, dtype=np.int64), index,
+        r = _replacement_column(draws, np.zeros(src.size, dtype=np.int64), index,
                                 graph.n, src, dst, ts, replace_dst, retry_cap)
         ok = r >= 0
-        if replace_dst:
-            dst = r
-        else:
-            src = r
+        src, dst = (src, r) if replace_dst else (r, dst)
 
     elif category == LOOP:
         before = int(ts.min())
@@ -146,10 +144,9 @@ def build_eval_set(test_positives: EdgeBlock, graph: DynamicGraph,
             src = np.full(ts.size, -1, dtype=np.int64)
         else:
             src = index.loopless_picks(np.full(ts.size, before),
-                                       rng.integers(0, total, size=ts.size))
-            draw = _Calls([rng]).draw(0)
+                                       draws.ints(np.array([[ts.size]]), np.array([[total]])))
             for i in np.flatnonzero(index.occurred(src, src, ts)).tolist():
-                src[i] = _retry_loop_pick(index, draw, before, int(ts[i]), retry_cap)
+                src[i] = _retry_loop_pick(index, draws.draw(0), before, int(ts[i]), retry_cap)
         dst = src
         ok = src >= 0
 
@@ -160,6 +157,7 @@ def build_eval_set(test_positives: EdgeBlock, graph: DynamicGraph,
 
     else:
         raise ValueError(f"unknown evaluation category {category!r}")
+    draws.settle()
     shortfall = int(ok.size - ok.sum())
     return SampleSet.of(src[ok], dst[ok], ts[ok], category,
                         tallies=Counter(shortfall=shortfall) if shortfall else None)

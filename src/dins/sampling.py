@@ -25,7 +25,8 @@ be absent from the edge multiset at its timestamp. Draws that cannot be
 satisfied within the configured retry caps are dropped and tallied, not
 raised. Feed each batch the substream from :func:`batch_rng` so batches
 can be sampled independently (even concurrently) and merged in batch
-order with reproducible results.
+order with reproducible results. Draws replay PCG64 output (:class:`_Replay`):
+the one-batch functions take any PCG64 generator and leave it as real calls would.
 """
 
 from __future__ import annotations
@@ -38,7 +39,7 @@ from typing import Iterator, NamedTuple
 
 import numpy as np
 
-from .config import SamplerConfig, derive_rng, derive_rngs
+from .config import _M32, SamplerConfig, derive_rng, derive_rngs
 from .graph import Batch, DynamicGraph, HistoryIndex
 
 # sample labels
@@ -158,20 +159,7 @@ RUN_EDGES = 4096
 # hold at once; pairs that fill whole windows would otherwise make it grow
 # with the square of the run's size.
 _BUDGET = 1 << 18
-
-_M32 = 0xFFFFFFFF
-
-
-def _ints(rng: np.random.Generator, lo: int, hi: int, size: int) -> list[int]:
-    """``rng.integers(lo, hi, size=size).tolist()``, as scalar calls when few.
-
-    NumPy yields the same values one call at a time as in one sized call
-    (``test_scalar_draws_equal_sized_draws`` pins this), and a scalar call
-    costs about a quarter of a sized one.
-    """
-    if size < 4:
-        return [int(rng.integers(lo, hi)) for _ in range(size)]
-    return rng.integers(lo, hi, size=size).tolist()
+_replay_checked = False     # set once a replay has matched Generator calls
 
 
 def _rank_in_group(groups: np.ndarray) -> np.ndarray:
@@ -182,55 +170,65 @@ def _rank_in_group(groups: np.ndarray) -> np.ndarray:
     return np.arange(groups.size) - np.repeat(start, np.diff(start, append=groups.size))
 
 
-class _Calls:
-    """The draws of a run's batches, as calls on each batch's Generator.
+def _check_replay() -> None:
+    """Check the replay, which copies NumPy's private mapping, against calls that
+    start on a waiting half and reject often, from 32-bit and from wider ranges."""
+    global _replay_checked
+    _replay_checked = True      # the probe's own replay must not probe again
+    calls, twin = np.random.default_rng(0), np.random.default_rng(0)
+    calls.integers(0, 7), twin.integers(0, 7)
+    draws = _Replay.of(twin)
+    got = (draws.ints(np.array([[40, 5]]), np.array([[3 * 2**30, 289]])).tolist()
+           + draws.integers(0, 11, 11 + 3 * 2**61, 8) + draws.uniforms(np.array([3])).tolist())
+    draws.settle()
+    want = (calls.integers(0, 3 * 2**30, 40).tolist() + calls.integers(0, 289, 5).tolist()
+            + calls.integers(11, 11 + 3 * 2**61, 8).tolist() + calls.random(3).tolist())
+    if got != want or twin.bit_generator.state != calls.bit_generator.state:
+        _replay_checked = False
+        raise RuntimeError(f"the PCG64 replay differs from Generator calls under numpy "
+                           f"{np.__version__}; sampled streams would not be reproducible")
+
+
+class _Replay:
+    """The draws of any PCG64 generators, replayed from their raw output.
 
     ``ints`` draws, per batch ``b`` and in segment order, ``counts[b, s]``
-    integers from ``[0, highs[b, s])``; ``uniforms`` draws ``counts[b]``
-    floats from [0, 1) per batch; both return the values in batch order.
-    ``integers`` makes ``size`` draws from [lo, hi) for batch ``b``.
-    """
-
-    def __init__(self, rngs: list):
-        self.rngs = rngs
-
-    def ints(self, counts: np.ndarray, highs: np.ndarray) -> np.ndarray:
-        vals: list[int] = []
-        for rng, cs, hs in zip(self.rngs, counts.tolist(), highs.tolist()):
-            for c, h in zip(cs, hs):
-                if c:
-                    vals += _ints(rng, 0, h, c)
-        return np.array(vals, dtype=np.int64)
-
-    def uniforms(self, counts: np.ndarray) -> np.ndarray:
-        return np.concatenate([rng.random(c) for rng, c in zip(self.rngs, counts.tolist())])
-
-    def integers(self, b: int, lo: int, hi: int, size: int) -> list[int]:
-        return _ints(self.rngs[b], lo, hi, size)
-
-    def draw(self, b: int):
-        """``draw(lo, hi)``: one integer from [lo, hi) for batch ``b``."""
-        return lambda lo, hi: self.integers(b, lo, hi, 1)[0]
-
-
-class _Replay(_Calls):
-    """The draws of fresh PCG64 generators, replayed from their raw output.
-
-    For a range of at most 2**32 values ``Generator.integers`` maps one
-    32-bit half of a 64-bit output through Lemire's multiply-and-reject
-    (the low half first; the high half waits for the next such draw), and
-    takes nothing for a range of one value; ``Generator.random`` scales
-    the top 53 bits of a whole output. Replaying that from outputs read in
-    bulk draws for all batches of a run with a few array operations, where
-    calls cost a NumPy call per batch and draw. Tests hold it equal to
-    :class:`_Calls`.
+    integers from ``[0, highs[b, s])`` (at most 2**32 values); ``uniforms``
+    draws ``counts[b]`` floats from [0, 1) per batch; both return the
+    values in batch order. ``integers`` makes ``size`` draws from [lo, hi)
+    for batch ``b``. Each gives what ``Generator`` calls would: for up to
+    2**32 values ``integers`` maps one 32-bit half of a 64-bit output
+    through Lemire's multiply-and-reject (the low half first; the high
+    half, ``half``, waits for the next such draw while ``has``), for one
+    value none; ``random`` scales the top 53 bits of a whole output. Read
+    in bulk, a whole run draws with a few array operations.
     """
 
     def __init__(self, bitgens: list, hint: np.ndarray):
+        if not _replay_checked:
+            _check_replay()
         self.bitgens = bitgens
         self._join([bg.random_raw(h) for bg, h in zip(bitgens, hint.tolist())])
         self.pos = [0] * len(bitgens)      # next unread output of each batch
-        self.pend = [-1] * len(bitgens)    # its high half still waiting, or -1
+        self.has, self.half = [0] * len(bitgens), [0] * len(bitgens)   # as if fresh
+
+    @classmethod
+    def of(cls, rng) -> "_Replay":
+        """The replay of one caller's Generator; it reads outputs only as it draws."""
+        bg = getattr(rng, "bit_generator", None)
+        if not isinstance(bg, np.random.PCG64):
+            raise TypeError(f"samplers draw from PCG64, not {type(bg or rng).__name__}; use "
+                            "np.random.default_rng(seed) or dins.batch_rng(seed, batch)")
+        draws, state = cls([bg], np.zeros(1, dtype=np.int64)), bg.state
+        draws.has, draws.half = [state["has_uint32"]], [state["uinteger"]]
+        return draws
+
+    def settle(self) -> None:
+        """Give back the outputs read but not used, then set the waiting half."""
+        for b, bg in enumerate(self.bitgens):
+            state = bg.advance(self.pos[b] - self.size_l[b]).state
+            state["has_uint32"], state["uinteger"] = self.has[b], self.half[b]
+            bg.state = state
 
     def _join(self, parts: list[np.ndarray]) -> None:
         sizes = np.array([p.size for p in parts], dtype=np.int64)
@@ -252,24 +250,40 @@ class _Replay(_Calls):
         w = hi - lo
         if w == 1:
             return [lo] * size
+        if w > 0x100000000:
+            return self._wide(b, lo, w, size)
         threshold = (0x100000000 - w) % w
         out: list[int] = []
-        pend, i = self.pend[b], self.pos[b]
+        has, half, i = self.has[b], self.half[b], self.pos[b]
         while len(out) < size:
-            if pend >= 0:
-                x, pend = pend, -1
+            if has:
+                x, has = half, 0
             else:
                 if i == self.size_l[b]:
-                    self._reserve(np.array([i + size if c == b else 0
-                                            for c in range(len(self.pos))]))
+                    self._reserve(np.where(np.arange(len(self.pos)) == b, i + size, 0))
                 word = int(self.flat[self.off_l[b] + i])
                 i += 1
-                x, pend = word & _M32, word >> 32
+                x, half, has = word & _M32, word >> 32, 1
             m = x * w
             if m & _M32 >= threshold:
                 out.append(lo + (m >> 32))
-        self.pend[b], self.pos[b] = pend, i
+        self.has[b], self.half[b], self.pos[b] = has, half, i
         return out
+
+    def _wide(self, b: int, lo: int, w: int, size: int) -> list[int]:
+        """64-bit Lemire on whole outputs, which leave the waiting half alone."""
+        out: list[int] = []
+        while len(out) < size:
+            self._reserve(np.where(np.arange(len(self.pos)) == b, self.pos[b] + size, 0))
+            self.pos[b] += 1
+            m = int(self.flat[self.off_l[b] + self.pos[b] - 1]) * w
+            if m & 0xFFFFFFFFFFFFFFFF >= (2**64 - w) % w:
+                out.append(lo + (m >> 64))
+        return out
+
+    def draw(self, b: int):
+        """``draw(lo, hi)``: one integer from [lo, hi) for batch ``b``."""
+        return lambda lo, hi: self.integers(b, lo, hi, 1)[0]
 
     def ints(self, counts: np.ndarray, highs: np.ndarray) -> np.ndarray:
         n_batches, n_seg = counts.shape
@@ -280,14 +294,15 @@ class _Replay(_Calls):
         use = high > 1                       # a range of one value takes no output
         ub = batch[use]
         halves = np.bincount(ub, minlength=n_batches)
-        pos, pend = np.array(self.pos), np.array(self.pend)
-        waiting = (pend >= 0) & (halves > 0)
+        pos, has, half = np.array(self.pos), np.array(self.has), np.array(self.half)
+        waiting = (has == 1) & (halves > 0)
         fresh = halves - waiting             # halves from outputs not read yet
-        self._reserve(pos + (fresh + 1) // 2)
+        new_pos = pos + (fresh + 1) // 2
+        self._reserve(new_pos)
         j = _rank_in_group(ub) - waiting[ub]
         x = np.empty(ub.size, dtype=np.uint64)
         w = j < 0
-        x[w] = pend[ub[w]]
+        x[w] = half[ub[w]]
         f = ~w
         jf = j[f]
         words = self.flat[self.off[ub[f]] + pos[ub[f]] + jf // 2]
@@ -295,17 +310,17 @@ class _Replay(_Calls):
         h = high[use].astype(np.uint64)
         m = x * h
         vals[use] = (m >> 32).astype(np.int64)
-        new_pos = pos + (fresh + 1) // 2
-        odd = np.flatnonzero(fresh % 2 == 1)
-        new_pend = np.where(halves > 0, -1, pend)
-        new_pend[odd] = (self.flat[self.off[odd] + new_pos[odd] - 1] >> 32).astype(np.int64)
-        self.pos, self.pend = new_pos.tolist(), new_pend.tolist()
+        new_half = half.copy()
+        took = np.flatnonzero(fresh > 0)     # their last output's high half is set aside
+        new_half[took] = self.flat[self.off[took] + new_pos[took] - 1] >> 32
+        self.pos, self.half = new_pos.tolist(), new_half.tolist()
+        self.has = np.where(halves > 0, fresh % 2, has).tolist()
         # a rejected draw shifts its batch's later draws: redo those batches
         redo = np.unique(ub[(m & _M32) < (0x100000000 - h) % h]).tolist()
         if redo:
             ends = np.cumsum(np.bincount(batch, minlength=n_batches)).tolist()
             for b in redo:
-                self.pos[b], self.pend[b] = int(pos[b]), int(pend[b])
+                self.pos[b], self.has[b], self.half[b] = int(pos[b]), int(has[b]), int(half[b])
                 lo = ends[b - 1] if b else 0
                 vals[lo:ends[b]] = [self.integers(b, 0, hb, 1)[0]
                                     for hb in high[lo:ends[b]].tolist()]
@@ -346,18 +361,13 @@ def _redraw_nonedge(draw, index: HistoryIndex, n: int,
     """Replacement draw rejected while (u,r,t) resp. (r,v,t) is an edge."""
     for _ in range(cap):
         r = _draw_one_replacement(draw, n, u, v)
-        if r < 0:
-            return -1
-        if replace_dst:
-            if not index.pair_occurred(u, r, t):
-                return r
-        else:
-            if not index.pair_occurred(r, v, t):
-                return r
+        s, d = (u, r) if replace_dst else (r, v)
+        if r < 0 or not index.pair_occurred(s, d, t):
+            return r
     return -1
 
 
-def _replacement_column(draws: _Calls, group: np.ndarray, index: HistoryIndex,
+def _replacement_column(draws: _Replay, group: np.ndarray, index: HistoryIndex,
                         n: int, src: np.ndarray, dst: np.ndarray, ts: np.ndarray,
                         replace_dst: bool, cap: int) -> np.ndarray:
     """One replacement per row; -1 where the pool is empty or retries ran out.
@@ -380,10 +390,7 @@ def _replacement_column(draws: _Calls, group: np.ndarray, index: HistoryIndex,
     x += (x >= np.maximum(src[rows], dst[rows])) & ~same[rows]
     r = np.full(src.size, -1, dtype=np.int64)
     r[rows] = x
-    if replace_dst:
-        hit = index.occurred(src[rows], x, ts[rows])
-    else:
-        hit = index.occurred(x, dst[rows], ts[rows])
+    hit = index.occurred(*((src[rows], x) if replace_dst else (x, dst[rows])), ts[rows])
     for i in np.sort(rows[hit]).tolist():
         r[i] = _redraw_nonedge(draws.draw(int(group[i])), index, n,
                                int(src[i]), int(dst[i]), int(ts[i]), replace_dst, cap)
@@ -429,7 +436,7 @@ class _Run:
     non-empty and sorted by bin, as :func:`dins.graph.batches` cuts them.
     """
 
-    def __init__(self, graph: DynamicGraph, draws: _Calls, src: np.ndarray,
+    def __init__(self, graph: DynamicGraph, draws: _Replay, src: np.ndarray,
                  dst: np.ndarray, t: np.ndarray, sizes, indices: list[int]):
         self.graph = graph
         self.idx = graph.history
@@ -446,11 +453,6 @@ class _Run:
     def rows(self) -> np.ndarray:
         """The index row of each edge's pair, resolved once per run."""
         return self.idx.pair_rows(self.src, self.dst)
-
-    def replacements(self, replace_dst: bool, cap: int) -> np.ndarray:
-        """A replaced receiver (or sender) per edge, -1 where skipped."""
-        return _replacement_column(self.draws, self.bid, self.idx, self.graph.n,
-                                   self.src, self.dst, self.t, replace_dst, cap)
 
     def temporal(self, q: int, t_f: int, cap: int) -> tuple[np.ndarray, ...]:
         """Up to q distinct free bins in [t, min(t + t_f, batch max)] per edge.
@@ -665,14 +667,15 @@ def _sample_run(run: _Run, config: SamplerConfig, strategy: str, pool_mode: str 
     src, dst, t, bid = run.src, run.dst, run.t, run.bid
     lead = np.zeros(n_edges, dtype=np.int64)     # samples before an edge's temporals
     skips = []                                   # (tally, emitted per edge)
+    replace = partial(_replacement_column, run.draws, bid, run.idx, run.graph.n, src, dst, t)
     senders = receivers = None
     if "sender" in mech:
-        senders = run.replacements(False, cap)
+        senders = replace(False, cap)
         s_ok = senders >= 0
         lead += s_ok
         skips.append(("sender_skipped", s_ok))
     if "receiver" in mech:
-        receivers = run.replacements(True, cap)
+        receivers = replace(True, cap)
         r_ok = receivers >= 0
         skips.append(("skipped" if strategy == "random" else "receiver_skipped", r_ok))
     per_edge = lead + (r_ok if receivers is not None else 0)
@@ -757,9 +760,12 @@ def _sample_one(strategy: str, batch: Batch, graph: DynamicGraph,
                 config: SamplerConfig, rng, pool_mode: str = "batch") -> SampleSet:
     if len(batch) == 0:
         return SampleSet.of([], [], [], OBSERVED, batch.index)
-    run = _Run(graph, _Calls([rng]), batch.src, batch.dst, batch.t, [len(batch)],
-               [batch.index])
-    return next(_sample_sets(run.indices, *_sample_run(run, config, strategy, pool_mode)))
+    draws = None if rng is None else _Replay.of(rng)
+    run = _Run(graph, draws, batch.src, batch.dst, batch.t, [len(batch)], [batch.index])
+    (ss,) = _sample_sets(run.indices, *_sample_run(run, config, strategy, pool_mode))
+    if draws is not None:
+        draws.settle()
+    return ss
 
 
 # -- individual strategies -------------------------------------------------
@@ -882,17 +888,12 @@ def sample_batches(graph: DynamicGraph, strategy: str, config: SamplerConfig,
                          f"choose from {sorted(STRATEGIES)}")
     k, m = config.k, graph.m
     step = max(1, RUN_EDGES // k)
-    # replayed integer draws cover ranges of up to 2**32 values
-    replay = max(graph.n, graph.m, graph.t_max + 1) <= 2**32
     for first in range(0, (m + k - 1) // k, step):
         indices = list(range(first, min(first + step, (m + k - 1) // k)))
         lo, hi = first * k, min((indices[-1] + 1) * k, m)
         sizes = np.minimum(k, m - np.array(indices) * k)
         rngs = derive_rngs(config.seed, indices)          # batch_rng of each
-        if replay:
-            draws = _Replay([rng.bit_generator for rng in rngs], (config.q + 2) * sizes + 16)
-        else:
-            draws = _Calls(rngs)
+        draws = _Replay([rng.bit_generator for rng in rngs], (config.q + 2) * sizes + 16)
         packed = _sample_run(_Run(graph, draws, graph.src[lo:hi], graph.dst[lo:hi],
                                   graph.t[lo:hi], sizes, indices),
                              config, strategy, pool_mode, include_positives)

@@ -11,13 +11,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dins import (SamplerConfig, batch_rng, batches, build_graph, sample_batches,
-                  sampling)
+from dins import (SamplerConfig, batch_rng, batches, build_graph, evaluation,
+                  sample_batches, sampling)
 from dins.config import derive_rng, derive_rngs
+from dins.evaluation import EVAL_NEGATIVE_CATEGORIES, build_eval_set
 from dins.sampling import (HISTORICAL, NEG, NEGATIVE_LOOP, OBSERVED, POS,
                            POSITIVE_ENHANCEMENT, RANDOM_RECEIVER,
-                           RANDOM_SENDER, TEMPORAL, VOCABULARY, Sample, _Calls,
-                           _Replay, positive_enhancement, sample_dins,
+                           RANDOM_SENDER, TEMPORAL, VOCABULARY, Sample,
+                           _Replay, _Run, _sample_run, _sample_sets,
+                           positive_enhancement, sample_dins,
                            sample_historical_baseline, sample_negative_loops,
                            sample_random_baseline, sample_sender_receiver,
                            sample_temporal)
@@ -26,6 +28,71 @@ from dins.synthetic import graph_from_arrays
 from conftest import first_seen_map, graphs, loop_first_map, triple_set
 
 W = 300  # default bin width in seconds
+
+
+# -- the oracle: draws as calls on each batch's Generator -------------------------
+
+
+def _ints(rng: np.random.Generator, lo: int, hi: int, size: int) -> list[int]:
+    """``rng.integers(lo, hi, size=size).tolist()``, as scalar calls when few.
+
+    NumPy yields the same values one call at a time as in one sized call
+    (``test_scalar_draws_equal_sized_draws`` pins this), and a scalar call
+    costs about a quarter of a sized one.
+    """
+    if size < 4:
+        return [int(rng.integers(lo, hi)) for _ in range(size)]
+    return rng.integers(lo, hi, size=size).tolist()
+
+
+class _Calls:
+    """The draws of a run's batches, as calls on each batch's Generator.
+
+    ``ints`` draws, per batch ``b`` and in segment order, ``counts[b, s]``
+    integers from ``[0, highs[b, s])``; ``uniforms`` draws ``counts[b]``
+    floats from [0, 1) per batch; both return the values in batch order.
+    ``integers`` makes ``size`` draws from [lo, hi) for batch ``b``.
+    """
+
+    def __init__(self, rngs: list):
+        self.rngs = rngs
+
+    def ints(self, counts: np.ndarray, highs: np.ndarray) -> np.ndarray:
+        vals: list[int] = []
+        for rng, cs, hs in zip(self.rngs, counts.tolist(), highs.tolist()):
+            for c, h in zip(cs, hs):
+                if c:
+                    vals += _ints(rng, 0, h, c)
+        return np.array(vals, dtype=np.int64)
+
+    def uniforms(self, counts: np.ndarray) -> np.ndarray:
+        return np.concatenate([rng.random(c) for rng, c in zip(self.rngs, counts.tolist())])
+
+    def integers(self, b: int, lo: int, hi: int, size: int) -> list[int]:
+        return _ints(self.rngs[b], lo, hi, size)
+
+    def draw(self, b: int):
+        """``draw(lo, hi)``: one integer from [lo, hi) for batch ``b``."""
+        return lambda lo, hi: self.integers(b, lo, hi, 1)[0]
+
+
+class _SettledCalls(_Calls):
+    """Calls in the place of ``_Replay.of``: they leave nothing to settle."""
+
+    @classmethod
+    def of(cls, rng):
+        return cls([rng])
+
+    def settle(self):
+        pass
+
+
+def oracle_sample(strategy, batch, graph, config, rng, pool_mode="batch"):
+    """One batch sampled through ``_Run`` with the draws made as calls on ``rng``."""
+    run = _Run(graph, _Calls([rng]), batch.src, batch.dst, batch.t, [len(batch)],
+               [batch.index])
+    (ss,) = _sample_sets(run.indices, *_sample_run(run, config, strategy, pool_mode))
+    return ss
 
 
 def bgraph(edges):
@@ -362,8 +429,11 @@ def test_standalone_batches_equal_their_stream_batches(g, k, seed, pool_mode):
         assert [ss.origin_batch for ss in stream] == list(range(len(blocks)))
         for batch in blocks:
             solo = fn(batch, g, cfg, batch_rng(seed, batch.index), **kw)
-            assert solo.samples == stream[batch.index].samples
-            assert solo.tallies == stream[batch.index].tallies
+            oracle = oracle_sample(name, batch, g, cfg, batch_rng(seed, batch.index),
+                                   pool_mode)
+            for ss in (solo, oracle):
+                assert ss.samples == stream[batch.index].samples
+                assert ss.tallies == stream[batch.index].tallies
 
 
 def test_scalar_draws_equal_sized_draws():
@@ -388,23 +458,33 @@ def _draw_script(seed):
     script = []
     for _ in range(int(r.integers(1, 12))):
         kind = r.choice(["ints", "uniforms", "integers"])
-        # 3 * 2**30 rejects about a quarter of its draws; 1 takes none
-        high = int(r.choice([1, 2, 7, 289, 50_000, 3 * 2**30, 2**32]))
+        # 3 * 2**30 and 3 * 2**61 reject about a quarter of their draws;
+        # 1 takes none; only scalar draws get ranges wider than 2**32
+        highs = [1, 2, 7, 289, 50_000, 3 * 2**30, 2**32]
+        high = int(r.choice(highs + [2**40 + 7, 3 * 2**61] * (kind == "integers")))
         script.append((kind, high, int(r.integers(0, 9))))
     return script
 
 
 @pytest.mark.parametrize("n_batches", [1, 3])
 def test_replayed_draws_equal_generator_calls(n_batches):
-    # _Replay answers sample_batches' draws from the raw PCG64 output;
-    # _Calls makes them by calling each Generator. Both must agree, across
-    # rejections, ranges of one value, uniforms between halves of an
-    # output, and batches that outrun the outputs read up front.
+    # _Replay answers every draw from the raw PCG64 output; _Calls makes
+    # them by calling each Generator. Both must agree, across rejections,
+    # ranges of one value and past 2**32, uniforms between halves of an
+    # output, generators that start on a waiting half, and batches that
+    # outrun the outputs read up front; and settling must leave each
+    # generator as the calls left it.
     for seed in range(60):
         keys = list(range(seed, seed + n_batches))
-        calls = _Calls(derive_rngs(seed, keys))
-        replay = _Replay([g.bit_generator for g in derive_rngs(seed, keys)],
-                         np.full(n_batches, seed % 3))
+        rngs, twins = derive_rngs(seed, keys), derive_rngs(seed, keys)
+        if seed % 2:
+            for g in rngs + twins:
+                g.integers(0, 7)
+        calls = _Calls(rngs)
+        replay = _Replay([g.bit_generator for g in twins], np.full(n_batches, seed % 3))
+        states = [g.bit_generator.state for g in twins]
+        replay.has = [st["has_uint32"] for st in states]
+        replay.half = [st["uinteger"] for st in states]
         for kind, high, size in _draw_script(seed):
             counts = np.arange(size, size + n_batches)
             if kind == "ints":
@@ -418,6 +498,63 @@ def test_replayed_draws_equal_generator_calls(n_batches):
                     lo = size * 11
                     assert (replay.integers(b, lo, lo + high, size)
                             == calls.integers(b, lo, lo + high, size))
+        replay.settle()
+        assert [g.bit_generator.state for g in twins] == [g.bit_generator.state for g in rngs]
+
+
+def _waiting(seed):
+    """A generator that holds back the high half of its last output."""
+    rng = np.random.default_rng(seed)
+    rng.integers(0, 7)
+    assert rng.bit_generator.state["has_uint32"] == 1
+    return rng
+
+
+def test_one_batch_calls_leave_the_generator_as_calls_would(monkeypatch):
+    # A one-batch function replays the caller's generator and hands it
+    # back in the state that real calls leave, waiting half included. Six
+    # nodes and many repeats make every retry path draw.
+    r = np.random.default_rng(5)
+    src, dst = r.integers(0, 6, size=(2, 300))
+    g = graph_from_arrays(src, dst, np.sort(r.integers(0, 40, size=300)), 6)
+    cfg = SamplerConfig(k=100, q=3, t_f=12, seed=0)
+    blocks = batches(g, cfg.k)
+    for batch in blocks:
+        for name, fn in sampling.STRATEGIES.items():
+            for mode in ("batch", "per-t") if name in ("dins", "loops") else ("batch",):
+                kw = {"pool_mode": mode} if name in ("dins", "loops") else {}
+                rng, oracle_rng = _waiting(batch.index), _waiting(batch.index)
+                solo = fn(batch, g, cfg, rng, **kw)
+                oracle = oracle_sample(name, batch, g, cfg, oracle_rng, mode)
+                assert solo.samples == oracle.samples
+                assert rng.bit_generator.state == oracle_rng.bit_generator.state
+    # build_eval_set, against itself with its draws made as calls; every
+    # node is loopless before the first batch, so loop picks draw and retry
+    sides = {}
+    for side in ("replay", "calls"):
+        if side == "calls":
+            monkeypatch.setattr(evaluation, "_Replay", _SettledCalls)
+        rngs = [_waiting(seed) for seed in range(len(EVAL_NEGATIVE_CATEGORIES))]
+        sets = [build_eval_set(blocks[0], g, g.history, cat, rng, retry_cap=4)
+                for cat, rng in zip(EVAL_NEGATIVE_CATEGORIES, rngs)]
+        sides[side] = ([ss.samples for ss in sets], [rng.bit_generator.state for rng in rngs])
+    assert sides["replay"] == sides["calls"]
+
+
+def test_non_pcg64_generators_are_rejected(tiny_graph):
+    batch, cfg = one_batch(tiny_graph)
+    with pytest.raises(TypeError, match="default_rng.*batch_rng"):
+        sample_dins(batch, tiny_graph, cfg, np.random.Generator(np.random.MT19937(0)))
+
+
+def test_replay_that_differs_from_numpy_is_refused(tiny_graph, monkeypatch):
+    # the first replay in a process checks itself against real calls
+    monkeypatch.setattr(sampling, "_replay_checked", False)
+    monkeypatch.setattr(_Replay, "uniforms", lambda self, counts: np.zeros(int(counts.sum())))
+    batch, cfg = one_batch(tiny_graph)
+    for _ in range(2):
+        with pytest.raises(RuntimeError, match=f"numpy {np.__version__}"):
+            sample_dins(batch, tiny_graph, cfg, batch_rng(0, 0))
 
 
 def test_derive_rngs_equal_derive_rng():
@@ -432,20 +569,21 @@ def test_derive_rngs_equal_derive_rng():
 
 def test_sampling_with_bins_past_2_31():
     # Lookups search bins inside each pair's block, so bins past 2**31 are
-    # answered like any others: the same graph with its bins shifted up
-    # must give the same streams, shifted.
-    n, shift = 2**16, 2**31
+    # answered like any others, and draws replay past 2**32: the same
+    # graph with its bins shifted up must give the same streams, shifted.
+    n = 2**16
     r = np.random.default_rng(3)
     src, dst = r.integers(n - 6, n, size=(2, 600))      # few pairs, many repeats
     t = r.integers(0, 60, size=600)
     low = graph_from_arrays(src, dst, t, n)
-    high = graph_from_arrays(src, dst, t + shift, n)
-    for mode in ("batch", "per-t"):
-        cfg = SamplerConfig(q=3, t_f=20, k=70, seed=7)
-        for a, b in zip(sample_batches(low, "dins", cfg, pool_mode=mode),
-                        sample_batches(high, "dins", cfg, pool_mode=mode)):
-            assert b.samples == [s._replace(t=s.t + shift) for s in a.samples]
-            assert b.tallies == a.tallies
+    for shift in (2**31, 2**40):
+        high = graph_from_arrays(src, dst, t + shift, n)
+        for mode in ("batch", "per-t"):
+            cfg = SamplerConfig(q=3, t_f=20, k=70, seed=7)
+            for a, b in zip(sample_batches(low, "dins", cfg, pool_mode=mode),
+                            sample_batches(high, "dins", cfg, pool_mode=mode)):
+                assert b.samples == [s._replace(t=s.t + shift) for s in a.samples]
+                assert b.tallies == a.tallies
 
 
 def test_sample_batches_observed_prefix(tiny_graph):
