@@ -29,6 +29,8 @@ from dataclasses import asdict, fields
 from pathlib import Path
 from typing import Optional, Sequence
 
+import numpy as np
+
 from . import __version__
 from .config import (SCORER_KINDS, VALID_LOOP_EVAL, VALID_LOOP_POOL, PipelineConfig,
                      ScorerSpec)
@@ -39,7 +41,7 @@ from .sample_io import (atomic_open, cache_dir, read_json, read_samples_jsonl,
                         read_scores_jsonl, read_split_dir, sample_key, save_graph,
                         write_json, write_registry_json, write_samples_jsonl,
                         write_scores_jsonl, write_split_dir)
-from .sampling import STRATEGIES, Sample, sample_batches
+from .sampling import STRATEGIES, sample_batches
 from .scorers import make_scorer
 from .split import make_split
 
@@ -139,12 +141,13 @@ def cmd_score(args) -> int:
                              "(training edges define its history)")
         index = load_configured(config).history
     scorer = make_scorer(spec, index=index)
-    records = read_samples_jsonl(args.samples)
+    records = read_samples_jsonl(args.samples_file)
+    src, dst, t = (np.array([rec[f] for rec in records], dtype=np.int64)
+                   for f in ("src", "dst", "t"))
+    category = np.array([str(rec["category"]) for rec in records], dtype=object)
     scores: dict[str, float] = {}
-    for rec in records:
-        s = Sample(rec["src"], rec["dst"], rec["t"], str(rec["label"]), str(rec["category"]))
-        key = rec.get("key") or sample_key(s.src, s.dst, s.t, s.category)
-        scores[str(key)] = scorer(s)
+    for rec, c, score in zip(records, category, scorer(src, dst, t, category).tolist()):
+        scores[str(rec.get("key") or sample_key(rec["src"], rec["dst"], rec["t"], c))] = score
     write_scores_jsonl(args.out, scores)
     _emit({"path": args.out, "n_scores": len(scores), "scorer": spec.kind})
     return 0
@@ -305,7 +308,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--scorer", required=True, choices=SCORER_KINDS)
     p.add_argument("--seed", dest="scorer_seed", type=int, default=_DEFAULTS["scorer_seed"],
                    metavar="SEED", help="seed for the random scorer")
-    p.add_argument("--samples", required=True, metavar="IN.jsonl")
+    p.add_argument("--samples", dest="samples_file", required=True, metavar="IN.jsonl")
     p.add_argument("--train", dest="dataset", metavar="DATASET",
                    help="training edges (required for memory/recency)")
     p.add_argument("--out", required=True, metavar="OUT.jsonl")

@@ -15,8 +15,8 @@ the probe-time negatives additionally stay within the test window, so
 no sample peeks past it.
 
 Each category's negatives are a :class:`SampleSet` of columns, built
-with array masks; scoring yields one array, and :func:`auc` takes
-labels and scores.
+with array masks; a scorer takes the columns of all of them at once and
+returns one array, and :func:`auc` takes labels and scores.
 """
 
 from __future__ import annotations
@@ -30,8 +30,8 @@ import numpy as np
 from .config import derive_rng
 from .graph import DynamicGraph, EdgeBlock, HistoryIndex
 from .sample_io import sample_key
-from .sampling import (H6, H12, H24, LOOP, OBSERVED, RANDOM_RECEIVER, RANDOM_SENDER,
-                       Sample, SampleSet, _Replay, _replacement_column, _retry_loop_pick)
+from .sampling import (_CATEGORY_OF, H6, H12, H24, LOOP, OBSERVED, RANDOM_RECEIVER,
+                       RANDOM_SENDER, SampleSet, _Replay, _replacement_column, _retry_loop_pick)
 
 __all__ = [
     "EVAL_CATEGORIES", "EVAL_NEGATIVE_CATEGORIES", "H_OFFSETS",
@@ -213,13 +213,19 @@ def auc(labels, scores) -> float:
 
 # -- evaluation ---------------------------------------------------------------
 
-Scorer = Union[Callable[[Sample], float], Mapping[str, float]]
+Scorer = Union[Callable[..., np.ndarray], Mapping[str, float]]
 
 
 def _scores(sets: list[SampleSet], scorer: Scorer) -> np.ndarray:
     """One score per sample of ``sets``, in order."""
     if callable(scorer):
-        return np.array([scorer(s) for ss in sets for s in ss.samples], dtype=float)
+        src, dst, t, code = (np.concatenate([getattr(ss, c) for ss in sets])
+                             for c in ("src", "dst", "t", "code"))
+        scores = np.asarray(scorer(src, dst, t, _CATEGORY_OF[code]), dtype=np.float64)
+        if scores.shape != code.shape or not np.isfinite(scores).all():
+            raise ValueError(f"a scorer must return {code.size} finite scores; it returned "
+                             f"{scores.size}, {np.sum(~np.isfinite(scores))} not finite")
+        return scores
     keys = [sample_key(src, dst, t, cat)
             for ss in sets for src, dst, t, _, cat in ss.rows()]
     values = [scorer.get(key) for key in keys]
@@ -234,8 +240,9 @@ def evaluate_sets(test_positives: EdgeBlock, eval_sets: dict[str, SampleSet],
                   strategy: str = "") -> EvalReport:
     """Score prebuilt negatives and report per-category tie-aware AUC.
 
-    ``scorer`` is either a callable ``sample -> score`` or a mapping
-    from sample keys to externally computed scores; with a mapping,
+    ``scorer`` is either a callable ``(src, dst, t, category) -> scores``,
+    called once on the columns of the positives and all six sets, or a
+    mapping from sample keys to externally computed scores; with a mapping,
     every positive and negative must be covered or
     :class:`MissingScoresError` lists the first missing keys. The
     ``overall`` row pools every category's negatives, with the positives

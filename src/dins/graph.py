@@ -393,23 +393,21 @@ class HistoryIndex:
             live, a, b, v = live[more], a[more], b[more], v[more]
         return out
 
-    def pair_times(self, u: int, v: int) -> np.ndarray:
-        """Sorted bins at which the directed pair occurs (empty if never)."""
-        i = self._pair_row(u, v)
-        if i < 0:
-            return _EMPTY_I64
-        return self._ts_by_pair[self._offsets[i]:self._offsets[i + 1]]
-
     @property
     def edge_by_pair(self) -> np.ndarray:
         """Edge positions aligned with the bounds of :meth:`window_bounds`."""
         return self._edge_by_pair
 
+    @property
+    def bins_by_pair(self) -> np.ndarray:
+        """Occurrence bins aligned with the bounds of :meth:`window_bounds`."""
+        return self._ts_by_pair
+
     def window_bounds(self, us, vs, los, his, rows=None) -> tuple[np.ndarray, np.ndarray]:
         """Where the occurrences of each (u_i, v_i) within [lo_i, hi_i] are kept.
 
         Returns parallel ``starts, stops``: the occurrence bins of row i are
-        ``_ts_by_pair[starts[i]:stops[i]]`` and their edge positions are
+        ``bins_by_pair[starts[i]:stops[i]]`` and their edge positions are
         ``edge_by_pair[starts[i]:stops[i]]``, both ascending. Rows whose
         pair never occurs, or whose window is empty, get ``starts == stops``.
         ``his=None`` leaves every window open to the pair's last bin; with
@@ -431,9 +429,6 @@ class HistoryIndex:
             stops[sel] = self._search(first, end, np.asarray(his, dtype=np.int64)[sel], True)
         return starts, stops
 
-    def has_pair(self, u: int, v: int) -> bool:
-        return self._pair_row(u, v) >= 0
-
     def pair_occurred(self, u: int, v: int, t: int) -> bool:
         """True iff the directed edge (u, v, t) is in the multiset."""
         i = self._pair_row(u, v)
@@ -443,11 +438,6 @@ class HistoryIndex:
         ts = self._ts_by_pair
         j = bisect_left(ts, t, self._offsets[i], hi)
         return j < hi and ts[j] == t
-
-    def last_occurrence_at_or_before(self, u: int, v: int, t: int) -> Optional[int]:
-        ts = self.pair_times(u, v)
-        j = int(np.searchsorted(ts, t, side="right"))
-        return int(ts[j - 1]) if j else None
 
     def occurred(self, us, vs, ts, rows=None) -> np.ndarray:
         """True where the directed edge (us[i], vs[i], ts[i]) is in the multiset.

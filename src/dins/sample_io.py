@@ -147,6 +147,9 @@ def read_samples_jsonl(path: PathLike) -> list[dict]:
             bad = [f for f in _INT_FIELDS if type(rec[f]) is not int]
             if bad:
                 raise IngestError(f"{path}: line {i}: fields {bad} must be integers")
+            wide = [f for f in ("src", "dst", "t") if not -2 ** 63 <= rec[f] < 2 ** 63]
+            if wide:
+                raise IngestError(f"{path}: line {i}: fields {wide} are outside int64")
             out.append(rec)
     return out
 

@@ -39,7 +39,7 @@ from typing import Iterator, NamedTuple
 
 import numpy as np
 
-from .config import _M32, SamplerConfig, derive_rng, derive_rngs
+from .config import _M32, VALID_LOOP_POOL, SamplerConfig, derive_rng, derive_rngs
 from .graph import Batch, DynamicGraph, HistoryIndex
 
 # sample labels
@@ -582,8 +582,6 @@ class _Run:
         Returns (batch, slot, node, bin) of every emitted loop, in bin
         order, and each batch's shortfall.
         """
-        if pool_mode not in ("batch", "per-t"):
-            raise ValueError(f"unknown pool_mode {pool_mode!r}")
         idx, t, bid = self.idx, self.t, self.bid
         new = np.ones(t.size, dtype=bool)
         new[1:] = (t[1:] != t[:-1]) | (bid[1:] != bid[:-1])
@@ -661,6 +659,8 @@ def _sample_run(run: _Run, config: SamplerConfig, strategy: str, pool_mode: str 
     historical, then temporal negatives of each edge, in edge order), its loops, and its
     enhancement positives.
     """
+    if pool_mode not in VALID_LOOP_POOL:        # before any draw
+        raise ValueError(f"unknown pool_mode {pool_mode!r}")
     mech = _MECHANISMS[strategy]
     cap = config.node_retry_cap
     n_batches, n_edges = run.sizes.size, run.t.size

@@ -26,7 +26,7 @@ from dins.evaluation import H_OFFSETS, auc, positives_of
 from dins.graph import batches, stats as graph_stats
 from dins.sampling import (NEG, NEGATIVE_LOOP, POSITIVE_ENHANCEMENT,
                            RANDOM_RECEIVER, RANDOM_SENDER, STRATEGIES,
-                           TEMPORAL)
+                           TEMPORAL, VOCABULARY)
 from dins.sample_io import load_dataset
 from dins.scorers import ScorerSpec
 from dins.synthetic import gap_pattern_records, multi_month_records, random_graph
@@ -245,10 +245,13 @@ def test_acceptance_7_gap_pattern_detects_memory_collapse():
     scorer = make_scorer(ScorerSpec(kind="memory"), index=split.train.history)
     # the recurrence gap leaves no room for the 12h/24h probes here, so
     # compare just the two categories the guarantee names
-    pos_scores = np.array([scorer(s) for s in positives_of(split.test).samples])
+    categories = np.array(VOCABULARY, dtype=object)
+    pos = positives_of(split.test)
+    pos_scores = scorer(pos.src, pos.dst, pos.t, categories[pos.code])
 
     def cat_auc(cat: str) -> float:
-        neg = np.array([scorer(s) for s in sets[cat].samples])
+        ss = sets[cat]
+        neg = scorer(ss.src, ss.dst, ss.t, categories[ss.code])
         labels = np.concatenate([np.ones(pos_scores.size, dtype=bool),
                                  np.zeros(neg.size, dtype=bool)])
         return auc(labels, np.concatenate([pos_scores, neg]))

@@ -80,9 +80,13 @@ def test_samples_jsonl_reader_reports_line_numbers(tmp_path):
     path.write_text(good + "\n" + json.dumps({"src": 0, "dst": 1}) + "\n")
     with pytest.raises(IngestError, match="line 2.*missing"):
         read_samples_jsonl(path)
+    wide = good.replace('"dst": 1', f'"dst": {-2 ** 63 - 1}').replace('"t": 2', f'"t": {2 ** 64}')
     for line, message in [
         ("5", "line 2: expected a JSON object"),
         (good.replace('"src": 0', '"src": "x"'), r"line 2: fields \['src'\] must be integers"),
+        (good.replace('"src": 0', f'"src": {2 ** 63}'),
+         r"line 2: fields \['src'\] are outside int64"),
+        (wide, r"line 2: fields \['dst', 't'\] are outside int64"),
         (good.replace('"t": 2', '"t": 2.5').replace('"batch": 0', '"batch": true'),
          r"line 2: fields \['t', 'batch'\] must be integers"),
     ]:
@@ -92,6 +96,17 @@ def test_samples_jsonl_reader_reports_line_numbers(tmp_path):
     code, _, err = run_cli("score", "--scorer", "constant", "--samples", str(path),
                            "--out", str(tmp_path / "scores.jsonl"))
     assert code == 1 and "line 2: fields ['t', 'batch']" in json.loads(err)["message"]
+    # the column scorers would otherwise fail on it with a bare OverflowError
+    path.write_text(good + "\n" + wide + "\n")
+    code, _, err = run_cli("score", "--scorer", "constant", "--samples", str(path),
+                           "--out", str(tmp_path / "scores.jsonl"))
+    assert code == 1 and "line 2: fields ['dst', 't'] are outside int64" in \
+        json.loads(err)["message"]
+    # the int64 extremes themselves are ids like any other
+    extremes = good.replace('"src": 0', f'"src": {2 ** 63 - 1}').replace(
+        '"dst": 1', f'"dst": {-2 ** 63}')
+    path.write_text(good + "\n" + extremes + "\n")
+    assert read_samples_jsonl(path)[1]["src"] == 2 ** 63 - 1
 
 
 def test_sample_lines_are_json_dumps_of_their_records(tmp_path):

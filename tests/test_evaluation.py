@@ -220,8 +220,8 @@ def test_evaluate_sets_overall_pools_all_negatives():
     g, test, index = eval_fixture()
     sets = build_eval_sets(test, g, index, seed=0)
     rng = np.random.default_rng(0)
-    report = evaluate_sets(test, sets, lambda s: float(rng.random()), seed=0,
-                           split_label="x", strategy="y")
+    report = evaluate_sets(test, sets, lambda src, dst, t, cat: rng.random(src.size),
+                           seed=0, split_label="x", strategy="y")
     cats = report.categories
     n_neg_sum = sum(cats[c].n_neg for c in EVAL_NEGATIVE_CATEGORIES)
     short_sum = sum(cats[c].shortfall for c in EVAL_NEGATIVE_CATEGORIES)
@@ -234,7 +234,8 @@ def test_evaluate_sets_overall_pools_all_negatives():
 def test_evaluate_sets_constant_scorer_gives_half():
     g, test, index = eval_fixture()
     sets = build_eval_sets(test, g, index, seed=0)
-    report = evaluate_sets(test, sets, lambda s: 0.5, seed=0)
+    report = evaluate_sets(test, sets, lambda src, dst, t, cat: np.full(src.size, 0.5),
+                           seed=0)
     for cat, res in report.categories.items():
         assert res.auc == 0.5, cat
 
@@ -242,15 +243,51 @@ def test_evaluate_sets_constant_scorer_gives_half():
 def test_report_roundtrips_and_is_deterministic():
     g, test, index = eval_fixture()
     sets = build_eval_sets(test, g, index, seed=5)
-    rep1 = evaluate_sets(test, sets, lambda s: float(s.src), seed=5,
+    rep1 = evaluate_sets(test, sets, lambda src, dst, t, cat: src.astype(float), seed=5,
                          split_label="2021-01", strategy="dins")
     rep2 = evaluate_sets(test, build_eval_sets(test, g, index, seed=5),
-                         lambda s: float(s.src), seed=5,
+                         lambda src, dst, t, cat: src.astype(float), seed=5,
                          split_label="2021-01", strategy="dins")
     assert json.dumps(rep1.to_dict(), sort_keys=True) == \
         json.dumps(rep2.to_dict(), sort_keys=True)
     back = EvalReport.from_dict(json.loads(json.dumps(rep1.to_dict())))
     assert back == rep1
+
+
+def test_callable_scorer_sees_every_sample_once_as_columns():
+    g, test, index = eval_fixture()
+    sets = build_eval_sets(test, g, index, seed=0)
+    calls = []
+
+    def scorer(src, dst, t, category):
+        calls.append((src, dst, t, category))
+        return np.zeros(src.size)
+
+    evaluate_sets(test, sets, scorer, seed=0)
+    assert len(calls) == 1
+    src, dst, t, category = calls[0]
+    assert all(a.dtype == np.int64 for a in (src, dst, t))
+    rows = [r for ss in [positives_of(test)] + [sets[c] for c in EVAL_NEGATIVE_CATEGORIES]
+            for r in ss.rows()]
+    assert list(zip(src.tolist(), dst.tolist(), t.tolist(), category.tolist())) == \
+        [(u, v, b, cat) for u, v, b, _, cat in rows]
+
+
+@pytest.mark.parametrize("case", ["short", "2d", "nan", "inf"])
+def test_callable_scorer_output_is_checked(case):
+    # a NaN would otherwise rank as a group of its own and give a number
+    g, test, index = eval_fixture()
+    sets = build_eval_sets(test, g, index, seed=0)
+    n = len(test) + sum(len(ss) for ss in sets.values())
+    bad, returned, not_finite = {
+        "short": (lambda src, *_: np.zeros(src.size - 1), n - 1, 0),
+        "2d": (lambda src, *_: np.zeros((src.size, 2)), 2 * n, 0),
+        "nan": (lambda src, *_: np.where(np.arange(src.size) == 3, np.nan, 0.5), n, 1),
+        "inf": (lambda src, *_: np.where(np.arange(src.size) == n - 1, -np.inf, 0.5), n, 1),
+    }[case]
+    with pytest.raises(ValueError, match=f"must return {n} finite scores; "
+                                         f"it returned {returned}, {not_finite} not finite"):
+        evaluate_sets(test, sets, bad, seed=0)
 
 
 def test_mapping_scorer_and_missing_keys():
@@ -282,7 +319,7 @@ def test_single_class_category_raises_with_context():
     sets = build_eval_sets(test, g, index, seed=0)
     assert len(sets["h6"].samples) == 0
     with pytest.raises(UndefinedMetricError, match="h6"):
-        evaluate_sets(test, sets, lambda s: 0.5, seed=0)
+        evaluate_sets(test, sets, lambda src, dst, t, cat: np.full(src.size, 0.5), seed=0)
 
 
 def test_split_pipeline_eval_has_no_leakage():

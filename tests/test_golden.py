@@ -7,7 +7,9 @@ were taken before the history index was rewritten around pair rows; a
 change that must alter an artifact updates its digest and says why.
 ``dins sample`` on the same data pins the keyed and negatives-only
 sample files, which a run never writes; those digests were taken
-before samples became columns.
+before samples became columns. ``dins score`` output over the plain
+dins sample file is pinned for all four built-in scorers; those digests
+were taken while scorers still scored one sample at a time.
 """
 
 from __future__ import annotations
@@ -170,3 +172,39 @@ def test_sample_command_digests(tmp_path, strategy, keyed):
                      "--tf", "144", "--seed", "5", *extra])
     assert code == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == SAMPLE_GOLDEN[(strategy, keyed)]
+
+
+SCORE_GOLDEN = {
+    "constant":
+        "832a70c9c32a02b3ba66df5c613b3a6de3d3f7d0404d4076aeb9eb5064e23251",
+    "memory":
+        "0f13ef4625c0fc88bd113c37cf59fd6798fe954283ba3731e7a0538541ecbd3e",
+    "random":
+        "403f7611b5e657cc8d4e88398746f9d7dd5fc6cf547ebed049e0fc73c8061887",
+    "recency":
+        "d3a47781ababed10072a73318f5b6afe17cddb542a569ca69d4f6fcf9e216aa5",
+}
+
+
+@pytest.fixture(scope="module")
+def golden_samples(tmp_path_factory) -> Path:
+    """``dins sample``'s plain dins file over the golden dataset."""
+    workdir = tmp_path_factory.mktemp("score")
+    write_golden_csv(workdir / "golden.csv")
+    with redirect_stdout(io.StringIO()):
+        code = main(["sample", str(workdir / "golden.csv"), "--strategy", "dins",
+                     "--out", str(workdir / "samples.jsonl"), "--batch-size", "250",
+                     "--q", "3", "--tf", "144", "--seed", "5"])
+    assert code == 0
+    return workdir
+
+
+@pytest.mark.parametrize("scorer", sorted(SCORE_GOLDEN))
+def test_score_command_digests(golden_samples, tmp_path, scorer):
+    out = tmp_path / "scores.jsonl"
+    with redirect_stdout(io.StringIO()):
+        code = main(["score", "--scorer", scorer, "--samples",
+                     str(golden_samples / "samples.jsonl"),
+                     "--train", str(golden_samples / "golden.csv"), "--out", str(out)])
+    assert code == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == SCORE_GOLDEN[scorer]

@@ -189,9 +189,11 @@ def test_history_index_matches_oracles(g):
     t_probe = list(range(-1, int(g.t_max) + 3))
 
     for (u, v), ts in times.items():
-        assert idx.pair_times(u, v).tolist() == ts
-        assert idx.has_pair(u, v)
-    assert not idx.has_pair(g.n - 1, g.n - 1) or (g.n - 1, g.n - 1) in times
+        start, stop = idx.window_bounds([u], [v], [t_probe[0]], None)
+        assert idx.bins_by_pair[start[0]:stop[0]].tolist() == ts
+        assert g.t[idx.edge_by_pair[start[0]:stop[0]]].tolist() == ts
+        assert idx.pair_rows([u], [v])[0] >= 0
+    assert (idx.pair_rows([g.n - 1], [g.n - 1])[0] < 0) or (g.n - 1, g.n - 1) in times
 
     for u, v in list(times)[:10]:
         for t in t_probe:
@@ -199,7 +201,9 @@ def test_history_index_matches_oracles(g):
             start, stop = idx.window_bounds([u], [v], [t_probe[0]], [t - 1])
             assert (stop[0] > start[0]) == any(x < t for x in times[(u, v)])
             expect_last = max((x for x in times[(u, v)] if x <= t), default=None)
-            assert idx.last_occurrence_at_or_before(u, v, t) == expect_last
+            start, stop = idx.window_bounds([u], [v], [t_probe[0]], [t])
+            last = idx.bins_by_pair[stop[0] - 1] if stop[0] > start[0] else None
+            assert last == expect_last
 
     # vectorized membership agrees with the scalar scan on a grid
     us, vs, tq = [], [], []

@@ -17,7 +17,7 @@ from dins.config import derive_rng, derive_rngs
 from dins.evaluation import EVAL_NEGATIVE_CATEGORIES, build_eval_set
 from dins.sampling import (HISTORICAL, NEG, NEGATIVE_LOOP, OBSERVED, POS,
                            POSITIVE_ENHANCEMENT, RANDOM_RECEIVER,
-                           RANDOM_SENDER, TEMPORAL, VOCABULARY, Sample,
+                           RANDOM_SENDER, STRATEGIES, TEMPORAL, VOCABULARY, Sample,
                            _Replay, _Run, _sample_run, _sample_sets,
                            positive_enhancement, sample_dins,
                            sample_historical_baseline, sample_negative_loops,
@@ -616,6 +616,19 @@ def test_sample_set_columns_and_view(tiny_graph):
 def test_unknown_strategy_rejected(tiny_graph):
     with pytest.raises(ValueError, match="unknown strategy"):
         list(sample_batches(tiny_graph, "nope", SamplerConfig()))
+
+
+def test_unknown_pool_mode_rejected_before_any_draw(tiny_graph):
+    batch, cfg = one_batch(tiny_graph)
+    for fn in (sample_dins, sample_negative_loops):
+        rng = batch_rng(0, 0)
+        state = rng.bit_generator.state
+        with pytest.raises(ValueError, match="unknown pool_mode 'bogus'"):
+            fn(batch, tiny_graph, cfg, rng, pool_mode="bogus")
+        assert rng.bit_generator.state == state
+    for strategy in sorted(STRATEGIES):
+        with pytest.raises(ValueError, match="unknown pool_mode 'bogus'"):
+            list(sample_batches(tiny_graph, strategy, SamplerConfig(k=3), pool_mode="bogus"))
 
 
 def test_identical_seeds_reproduce_exactly(tiny_graph):
