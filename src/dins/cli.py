@@ -37,10 +37,10 @@ from .config import (SCORER_KINDS, VALID_LOOP_EVAL, VALID_LOOP_POOL, PipelineCon
 from .evaluation import build_eval_sets, combined_index, eval_records, evaluate_sets
 from .graph import stats as graph_stats
 from .runner import load_configured, run_experiment, window_schedule
-from .sample_io import (atomic_open, cache_dir, read_json, read_samples_jsonl,
-                        read_scores_jsonl, read_split_dir, sample_key, save_graph,
-                        write_json, write_registry_json, write_samples_jsonl,
-                        write_scores_jsonl, write_split_dir)
+from .sample_io import (atomic_open, cache_dir, eval_lines, read_json,
+                        read_samples_jsonl, read_scores_jsonl, read_split_dir,
+                        sample_key, save_graph, write_json, write_registry_json,
+                        write_samples_jsonl, write_scores_jsonl, write_split_dir)
 from .sampling import STRATEGIES, sample_batches
 from .scorers import make_scorer
 from .split import make_split
@@ -163,8 +163,7 @@ def cmd_evaluate(args) -> int:
                            loop_eval=args.loop_eval)
     if args.export:
         with atomic_open(args.export) as fh:
-            for rec in eval_records(split.test, sets):
-                fh.write(json.dumps(rec, sort_keys=True) + "\n")
+            fh.write(eval_lines(eval_records(split.test, sets)))
     if args.scores:
         scorer = read_scores_jsonl(args.scores)
         strategy = args.strategy_label or "external"

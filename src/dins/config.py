@@ -138,8 +138,9 @@ class ScorerSpec:
         if self.kind not in SCORER_KINDS:
             raise ValueError(f"unknown scorer {self.kind!r}; "
                              f"choose from {SCORER_KINDS}")
-        if self.lam <= 0:
-            raise ValueError("lam must be positive")
+        if not 0 < self.lam < math.inf:     # NaN fails both comparisons
+            raise ValueError("lam must be positive" if self.lam <= 0 else
+                             f"lam must be finite, got {self.lam}")
         if self.seed < 0:
             raise ValueError("seed must be non-negative")
 

@@ -218,21 +218,23 @@ Scorer = Union[Callable[..., np.ndarray], Mapping[str, float]]
 
 def _scores(sets: list[SampleSet], scorer: Scorer) -> np.ndarray:
     """One score per sample of ``sets``, in order."""
+    n = sum(len(ss) for ss in sets)
     if callable(scorer):
         src, dst, t, code = (np.concatenate([getattr(ss, c) for ss in sets])
                              for c in ("src", "dst", "t", "code"))
         scores = np.asarray(scorer(src, dst, t, _CATEGORY_OF[code]), dtype=np.float64)
-        if scores.shape != code.shape or not np.isfinite(scores).all():
-            raise ValueError(f"a scorer must return {code.size} finite scores; it returned "
-                             f"{scores.size}, {np.sum(~np.isfinite(scores))} not finite")
-        return scores
-    keys = [sample_key(src, dst, t, cat)
-            for ss in sets for src, dst, t, _, cat in ss.rows()]
-    values = [scorer.get(key) for key in keys]
-    missing = [key for key, value in zip(keys, values) if value is None]
-    if missing:
-        raise MissingScoresError(missing, len(missing))
-    return np.array(values, dtype=float)
+    else:
+        keys = [sample_key(src, dst, t, cat)
+                for ss in sets for src, dst, t, _, cat in ss.rows()]
+        values = [scorer.get(key) for key in keys]
+        missing = [key for key, value in zip(keys, values) if value is None]
+        if missing:
+            raise MissingScoresError(missing, len(missing))
+        scores = np.array(values, dtype=np.float64)
+    if scores.shape != (n,) or not np.isfinite(scores).all():
+        raise ValueError(f"a scorer must return {n} finite scores; it returned "
+                         f"{scores.size}, {np.sum(~np.isfinite(scores))} not finite")
+    return scores
 
 
 def evaluate_sets(test_positives: EdgeBlock, eval_sets: dict[str, SampleSet],

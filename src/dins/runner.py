@@ -18,7 +18,6 @@ directories, with the same bytes as the serial run.
 
 from __future__ import annotations
 
-import json
 import traceback
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
@@ -30,7 +29,7 @@ from .config import PipelineConfig
 from .evaluation import (build_eval_sets, combined_index, eval_records,
                          evaluate_sets)
 from .graph import DynamicGraph
-from .sample_io import (atomic_open, load_dataset, read_name_list,
+from .sample_io import (atomic_open, eval_lines, load_dataset, read_name_list,
                         read_scores_jsonl, write_json, write_samples_jsonl,
                         write_split_dir)
 from .sampling import STRATEGIES, sample_batches
@@ -95,8 +94,7 @@ def process_split(graph: DynamicGraph, config: PipelineConfig,
         sets = build_eval_sets(split.test, split.train, index, config.seed,
                                loop_eval=config.loop_eval)
         with atomic_open(split_dir / "eval_samples.jsonl", "w") as fh:
-            for rec in eval_records(split.test, sets):
-                fh.write(json.dumps(rec, sort_keys=True) + "\n")
+            fh.write(eval_lines(eval_records(split.test, sets)))
     except Exception as exc:  # split-level failure: report and move on
         outcome["status"] = "error"
         outcome["error"] = f"{type(exc).__name__}: {exc}"

@@ -9,6 +9,8 @@ Formats are deliberately small and stable:
 * samples as JSON-lines ``{"src", "dst", "t", "label", "category",
   "batch"}`` with an optional ``"key"`` for matching externally
   computed scores;
+* evaluation exports as JSON-lines, each line the sorted-keys JSON of
+  ``{"batch", "category", "dst", "key", "label", "src", "t"}``;
 * scores as JSON-lines ``{"key", "score"}``.
 
 Every writer goes through a temp-file-then-rename so a crashed run
@@ -121,6 +123,16 @@ def write_samples_jsonl(path: PathLike, sets: Iterable[SampleSet],
             for k, v in ss.tallies.items():
                 tallies[k] = tallies.get(k, 0) + int(v)
     return {"n_samples": n, "n_batches": n_batches, "tallies": tallies}
+
+
+# An eval record as ``json.dumps(rec, sort_keys=True)`` writes it.
+_EVAL_LINE = ('{"batch": %(batch)d, "category": "%(category)s", "dst": %(dst)d, '
+              '"key": "%(key)s", "label": "%(label)s", "src": %(src)d, "t": %(t)d}\n')
+
+
+def eval_lines(records: Iterable[dict]) -> str:
+    """The JSON-lines text of eval records (see ``evaluation.eval_records``)."""
+    return "".join(map(_EVAL_LINE.__mod__, records))
 
 
 _SAMPLE_FIELDS = ("src", "dst", "t", "label", "category", "batch")
@@ -247,15 +259,15 @@ def write_edge_csv(path: PathLike, registry: NodeRegistry, src: np.ndarray,
                    dst: np.ndarray, raw: np.ndarray) -> None:
     path = Path(path)
     delim = _delimiter_for(path)
+    names = registry.names()
     # minimal quoting leaves a bare \r unquoted, and it would end the row when read
-    quote_all = any("\r" in name for name in registry.names())
+    quote_all = any("\r" in name for name in names)
     with atomic_open(path, "w") as fh:
         writer = csv.writer(fh, delimiter=delim, lineterminator="\n",
                             quoting=csv.QUOTE_ALL if quote_all else csv.QUOTE_MINIMAL)
         writer.writerow(["src", "dst", "timestamp"])
-        for i in range(len(src)):
-            writer.writerow([registry.name_of(int(src[i])),
-                             registry.name_of(int(dst[i])), int(raw[i])])
+        writer.writerows(zip([names[i] for i in src.tolist()],
+                             [names[i] for i in dst.tolist()], raw.tolist()))
 
 
 # -- graph cache --------------------------------------------------------------

@@ -10,14 +10,18 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from dins import PipelineConfig, SamplerConfig, build_graph, sample_batches
+from dins import (EVAL_NEGATIVE_CATEGORIES, PipelineConfig, SamplerConfig, build_graph,
+                  sample_batches)
 from dins.cli import main
 from dins.runner import average_ranks
-from dins.sample_io import (IngestError, atomic_open, load_graph,
+from dins.sample_io import (IngestError, atomic_open, eval_lines, load_graph,
                             read_edge_csv, read_samples_jsonl,
                             read_scores_jsonl, sample_key, save_graph,
                             write_samples_jsonl, write_scores_jsonl)
+from dins.sampling import NEG, OBSERVED, POS
 from dins.synthetic import multi_month_records
 
 
@@ -125,6 +129,21 @@ def test_sample_lines_are_json_dumps_of_their_records(tmp_path):
                     rec["key"] = sample_key(s.src, s.dst, s.t, s.category)
                 want.append(json.dumps(rec) + "\n")
         assert path.read_text() == "".join(want)
+
+
+INT64 = st.integers(-2 ** 63, 2 ** 63 - 1)
+
+
+@given(st.lists(st.tuples(INT64, INT64, INT64, INT64,
+                          st.sampled_from((OBSERVED,) + EVAL_NEGATIVE_CATEGORIES),
+                          st.sampled_from((POS, NEG))), max_size=20))
+@settings(max_examples=100, deadline=None)
+def test_eval_lines_are_json_dumps_of_their_records(rows):
+    records = [{"src": src, "dst": dst, "t": t, "label": label, "category": cat,
+                "batch": batch, "key": sample_key(src, dst, t, cat)}
+               for src, dst, t, batch, cat, label in rows]
+    assert eval_lines(records) == "".join(json.dumps(rec, sort_keys=True) + "\n"
+                                          for rec in records)
 
 
 def test_scores_jsonl_roundtrip_and_errors(tmp_path):
@@ -374,9 +393,18 @@ def test_invalid_flags_are_rejected_up_front(months_csv, tmp_path):
          "min_month_edges must be non-negative"),
         (("run", str(months_csv), "--out-dir", str(out_dir), "--lambda", "-1"),
          "lam must be positive"),
+        # NaN made every split partial after its sampling; inf scored as a constant
+        (("run", str(months_csv), "--out-dir", str(out_dir), "--lambda", "nan"),
+         "lam must be finite, got nan"),
+        (("run", str(months_csv), "--out-dir", str(out_dir), "--lambda", "inf"),
+         "lam must be finite, got inf"),
         # evaluate checks its scorer before it reads the split directory
         (("evaluate", "--split-dir", str(out_dir), "--scorer-seed", "-1"),
          "seed must be non-negative"),
+        (("evaluate", "--split-dir", str(out_dir), "--lambda", "nan"),
+         "lam must be finite, got nan"),
+        (("evaluate", "--split-dir", str(out_dir), "--lambda", "inf"),
+         "lam must be finite, got inf"),
     ]:
         code, out, err = run_cli(*argv)
         assert code == 1 and out == ""

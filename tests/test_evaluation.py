@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import math
 
 import numpy as np
 import pytest
@@ -12,9 +13,11 @@ from dins import (EVAL_NEGATIVE_CATEGORIES, H_OFFSETS, EvalReport,
                   build_eval_set, build_eval_sets, build_graph, combined_index,
                   derive_rng, evaluate_sets, make_split, monthly_schedule,
                   sample_key)
-from dins.evaluation import positives_of
+from dins.evaluation import eval_records, positives_of
 from dins.graph import EdgeBlock
 from dins.sampling import NEG, POS
+from dins.split import window_pairs
+from dins.synthetic import multi_month_records
 
 from conftest import brute_auc, triple_set
 
@@ -310,6 +313,24 @@ def test_mapping_scorer_and_missing_keys():
     err = exc.value
     assert err.total >= 1 and some_key in err.missing
     assert some_key in str(err)
+
+
+@pytest.mark.parametrize("case", ["nan-positives", "inf-negative"])
+def test_mapping_scores_must_be_finite(case):
+    # NaN positives against 0.5 negatives would read as AUC 1.0 in every row
+    g = build_graph(multi_month_records(60, 300, 2, seed=2))
+    split = make_split(g, *window_pairs(monthly_schedule(g))[0])
+    index = combined_index(split.train, split.val, split.test)
+    sets = build_eval_sets(split.test, split.train, index, seed=0)
+    records = eval_records(split.test, sets)
+    bad = {"nan-positives": lambda rec: math.nan if rec["label"] == POS else 0.5,
+           "inf-negative": lambda rec: math.inf if rec is records[-1] else 0.5}[case]
+    mapping = {rec["key"]: bad(rec) for rec in records}
+    n = len(records)
+    not_finite = len(split.test) if case == "nan-positives" else 1
+    with pytest.raises(ValueError, match=f"must return {n} finite scores; "
+                                         f"it returned {n}, {not_finite} not finite"):
+        evaluate_sets(split.test, sets, mapping, seed=0)
 
 
 def test_single_class_category_raises_with_context():

@@ -9,7 +9,10 @@ change that must alter an artifact updates its digest and says why.
 sample files, which a run never writes; those digests were taken
 before samples became columns. ``dins score`` output over the plain
 dins sample file is pinned for all four built-in scorers; those digests
-were taken while scorers still scored one sample at a time.
+were taken while scorers still scored one sample at a time. ``dins
+evaluate --export`` on the golden data's first split is pinned too; its
+digest was taken while the export still went through ``json.dumps``, and
+equals the run's ``eval_samples.jsonl`` for that split.
 """
 
 from __future__ import annotations
@@ -208,3 +211,17 @@ def test_score_command_digests(golden_samples, tmp_path, scorer):
                      "--train", str(golden_samples / "golden.csv"), "--out", str(out)])
     assert code == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == SCORE_GOLDEN[scorer]
+
+
+EXPORT_GOLDEN = "d28065bb704134df2b7cd651b60c7ea8d3f58b26cf95009bb5ef5927ace75203"
+
+
+def test_evaluate_export_digest(tmp_path):
+    write_golden_csv(tmp_path / "golden.csv")
+    out = tmp_path / "eval.jsonl"
+    with redirect_stdout(io.StringIO()):
+        assert main(["split", str(tmp_path / "golden.csv"),
+                     "--out-dir", str(tmp_path / "splits")]) == 0
+        assert main(["evaluate", "--split-dir", str(tmp_path / "splits" / "2021-01"),
+                     "--seed", "5", "--export", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == EXPORT_GOLDEN
