@@ -32,8 +32,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import __version__
-from .config import (SCORER_KINDS, VALID_LOOP_EVAL, VALID_LOOP_POOL, PipelineConfig,
-                     ScorerSpec)
+from .config import SCORER_KINDS, VALID_LOOP_EVAL, VALID_LOOP_POOL, PipelineConfig
 from .evaluation import build_eval_sets, combined_index, eval_records, evaluate_sets
 from .graph import stats as graph_stats
 from .runner import load_configured, run_experiment, window_schedule
@@ -67,6 +66,11 @@ def _strategies(text: str) -> tuple[str, ...]:
     return parts
 
 
+def _config(args) -> PipelineConfig:
+    """The checked config of the parsed flags that set its fields."""
+    return PipelineConfig.from_dict({k: v for k, v in vars(args).items() if k in _DEFAULTS})
+
+
 def _emit(obj) -> None:
     json.dump(obj, sys.stdout, indent=2, sort_keys=True)
     sys.stdout.write("\n")
@@ -76,7 +80,7 @@ def _emit(obj) -> None:
 
 
 def cmd_ingest(args) -> int:
-    graph = load_configured(PipelineConfig.from_dict(vars(args)))
+    graph = load_configured(_config(args))
     out = Path(args.out) if args.out else cache_dir() / (Path(args.dataset).stem + ".npz")
     save_graph(out, graph)
     _emit({"path": str(out), "n_nodes": graph.n, "n_edges": graph.m,
@@ -85,13 +89,13 @@ def cmd_ingest(args) -> int:
 
 
 def cmd_stats(args) -> int:
-    graph = load_configured(PipelineConfig.from_dict(vars(args)))
+    graph = load_configured(_config(args))
     _emit(asdict(graph_stats(graph)))
     return 0
 
 
 def cmd_split(args) -> int:
-    config = PipelineConfig.from_dict(vars(args))
+    config = _config(args)
     graph = load_configured(config)
     _, pairs = window_schedule(graph, config.windows)
     out_dir = Path(args.out_dir)
@@ -112,7 +116,7 @@ def cmd_split(args) -> int:
 
 
 def cmd_sample(args) -> int:
-    config = PipelineConfig.from_dict(vars(args))
+    config = _config(args)
     graph = load_configured(config)
     sampler = config.sampler()
     stream = sample_batches(graph, args.strategy, sampler,
@@ -132,7 +136,7 @@ def cmd_sample(args) -> int:
 
 
 def cmd_score(args) -> int:
-    config = PipelineConfig.from_dict(vars(args))
+    config = _config(args)
     spec = config.scorer_spec()
     index = None
     if spec.kind in ("memory", "recency"):
@@ -154,13 +158,14 @@ def cmd_score(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
-    spec = ScorerSpec(kind=args.scorer, lam=args.scorer_lambda, seed=args.scorer_seed)
+    config = _config(args)
+    spec = config.scorer_spec()
     split = read_split_dir(args.split_dir)
     if len(split.test) == 0:
         raise ValueError(f"{args.split_dir}: split has no test edges")
     index = combined_index(split.train, split.val, split.test)
-    sets = build_eval_sets(split.test, split.train, index, args.seed,
-                           loop_eval=args.loop_eval)
+    sets = build_eval_sets(split.test, split.train, index, config.seed,
+                           loop_eval=config.loop_eval)
     if args.export:
         with atomic_open(args.export) as fh:
             fh.write(eval_lines(eval_records(split.test, sets)))
@@ -171,7 +176,7 @@ def cmd_evaluate(args) -> int:
         index_train = split.train.history if spec.kind in ("memory", "recency") else None
         scorer = make_scorer(spec, index=index_train)
         strategy = args.strategy_label or spec.kind
-    report = evaluate_sets(split.test, sets, scorer, args.seed,
+    report = evaluate_sets(split.test, sets, scorer, config.seed,
                            split_label=split.label, strategy=strategy)
     payload = report.to_dict()
     if args.out:
@@ -185,7 +190,7 @@ def cmd_run(args) -> int:
         raise ValueError("give either a dataset argument or --config, not both")
     if not (args.config or args.dataset):
         raise ValueError("a dataset path (or --config) is required")
-    config = PipelineConfig.from_dict(read_json(args.config) if args.config else vars(args))
+    config = PipelineConfig.from_dict(read_json(args.config)) if args.config else _config(args)
     summary = run_experiment(config, args.out_dir, jobs=args.jobs)
     statuses = {o["label"]: o["status"] for o in summary["splits"]}
     _emit({"out_dir": args.out_dir, "n_splits": len(summary["splits"]),
@@ -325,7 +330,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="also write the keyed evaluation samples")
     p.add_argument("--out", metavar="REPORT.json")
     _add_options(p, *_SCORER, "--seed", "--loop-eval")
-    p.set_defaults(fn=cmd_evaluate)
+    p.set_defaults(fn=cmd_evaluate, dataset=None)      # it reads a split directory
 
     p = sub.add_parser("run", help="full pipeline over all monthly splits")
     p.add_argument("dataset", nargs="?", help="edge CSV/TSV or .npz cache")

@@ -3,7 +3,8 @@
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, fields
+import numbers
+from dataclasses import MISSING, asdict, dataclass, fields
 from typing import Optional
 
 import numpy as np
@@ -98,17 +99,13 @@ class SamplerConfig:
     """Knobs for the negative samplers.
 
     ``q`` future-time negatives per positive, drawn within ``t_f`` bins;
-    batches of ``k`` positives; rejection loops abandon a draw after
-    ``temporal_retry_cap`` / ``node_retry_cap`` attempts and tally the
-    shortfall instead of looping forever.
+    batches of ``k`` positives.
     """
 
     q: int = 5
     t_f: int = 288
     k: int = 1000
     seed: int = 0
-    temporal_retry_cap: int = 32
-    node_retry_cap: int = 32
 
     def __post_init__(self):
         if self.q < 1:
@@ -119,8 +116,6 @@ class SamplerConfig:
             raise ValueError("k must be >= 1")
         if self.seed < 0:
             raise ValueError("seed must be non-negative")
-        if self.temporal_retry_cap < 1 or self.node_retry_cap < 1:
-            raise ValueError("retry caps must be >= 1")
 
 
 SCORER_KINDS = ("constant", "random", "memory", "recency")
@@ -173,6 +168,7 @@ class PipelineConfig:
     min_month_edges: int = 0
 
     def __post_init__(self):
+        self._check_types()
         self.strategies = tuple(self.strategies)
         self.columns = tuple(self.columns)
         if self.bin_width_seconds <= 0:
@@ -191,6 +187,26 @@ class PipelineConfig:
         self.sampler()
         self.scorer_spec()
 
+    def _check_types(self) -> None:
+        """Each setting has its default's type; a bool is not an integer,
+        an integer is a number, and ``dataset`` may be null."""
+        for f in fields(self):
+            value, default = getattr(self, f.name), f.default
+            if isinstance(default, tuple):
+                want, ok = "a list of strings", (isinstance(value, (list, tuple))
+                                                 and all(isinstance(v, str) for v in value))
+            elif isinstance(default, str):
+                want, ok = "a string", isinstance(value, str)
+            elif default is None or default is MISSING:
+                want, ok = "a string or null", value is None or isinstance(value, str)
+            else:
+                number = isinstance(default, float)
+                want = "a number" if number else "an integer"
+                ok = (isinstance(value, numbers.Real if number else numbers.Integral)
+                      and not isinstance(value, bool))
+            if not ok:
+                raise TypeError(f"{f.name} must be {want}, got {value!r}")
+
     def sampler(self) -> SamplerConfig:
         return SamplerConfig(q=self.q, t_f=self.t_f, k=self.batch_size, seed=self.seed)
 
@@ -205,10 +221,8 @@ class PipelineConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "PipelineConfig":
-        known = {f.name for f in fields(cls)}
-        kwargs = {k: v for k, v in d.items() if k in known}
-        if "strategies" in kwargs:
-            kwargs["strategies"] = tuple(kwargs["strategies"])
-        if "columns" in kwargs:
-            kwargs["columns"] = tuple(kwargs["columns"])
-        return cls(**kwargs)
+        """The config of ``d``'s settings; a key that names no field is an error."""
+        unknown = sorted(set(d) - {f.name for f in fields(cls)})
+        if unknown:
+            raise ValueError(f"unknown config key(s): {', '.join(unknown)}")
+        return cls(**d)

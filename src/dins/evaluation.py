@@ -112,8 +112,7 @@ def combined_index(split_train: DynamicGraph, val: EdgeBlock,
 
 def build_eval_set(test_positives: EdgeBlock, graph: DynamicGraph,
                    index: HistoryIndex, category: str,
-                   rng: np.random.Generator, *, retry_cap: int = 32,
-                   loop_eval: str = "per-positive") -> SampleSet:
+                   rng: np.random.Generator, *, loop_eval: str = "per-positive") -> SampleSet:
     """Negatives of one category for the given test positives.
 
     ``graph`` supplies the transductive node pool (train nodes);
@@ -129,7 +128,7 @@ def build_eval_set(test_positives: EdgeBlock, graph: DynamicGraph,
     if category in (RANDOM_SENDER, RANDOM_RECEIVER):
         replace_dst = category == RANDOM_RECEIVER
         r = _replacement_column(draws, np.zeros(src.size, dtype=np.int64), index,
-                                graph.n, src, dst, ts, replace_dst, retry_cap)
+                                graph.n, src, dst, ts, replace_dst)
         ok = r >= 0
         src, dst = (src, r) if replace_dst else (r, dst)
 
@@ -146,7 +145,7 @@ def build_eval_set(test_positives: EdgeBlock, graph: DynamicGraph,
             src = index.loopless_picks(np.full(ts.size, before),
                                        draws.ints(np.array([[ts.size]]), np.array([[total]])))
             for i in np.flatnonzero(index.occurred(src, src, ts)).tolist():
-                src[i] = _retry_loop_pick(index, draws.draw(0), before, int(ts[i]), retry_cap)
+                src[i] = _retry_loop_pick(index, draws.draw(0), before, int(ts[i]))
         dst = src
         ok = src >= 0
 
@@ -163,14 +162,13 @@ def build_eval_set(test_positives: EdgeBlock, graph: DynamicGraph,
                         tallies=Counter(shortfall=shortfall) if shortfall else None)
 
 
-def build_eval_sets(test_positives: EdgeBlock, graph: DynamicGraph,
-                    index: HistoryIndex, seed: int, *, retry_cap: int = 32,
-                    loop_eval: str = "per-positive") -> dict[str, SampleSet]:
+def build_eval_sets(test_positives: EdgeBlock, graph: DynamicGraph, index: HistoryIndex,
+                    seed: int, *, loop_eval: str = "per-positive") -> dict[str, SampleSet]:
     """All six negative categories, each from its own seed substream."""
     return {
         cat: build_eval_set(test_positives, graph, index, cat,
                             derive_rng(seed, _CATEGORY_SALT[cat]),
-                            retry_cap=retry_cap, loop_eval=loop_eval)
+                            loop_eval=loop_eval)
         for cat in EVAL_NEGATIVE_CATEGORIES
     }
 

@@ -4,6 +4,9 @@ A graph is a directed temporal edge multiset over densely interned node
 ids. Raw epoch timestamps are coarsened to integer bins of
 ``bin_width_seconds`` anchored at the earliest raw time seen, and the
 edge arrays are kept stably sorted by bin (ties keep ingestion order).
+Both time rules live here once: :func:`binned` turns raw seconds into
+sorted bins for graphs and split blocks alike, and :func:`utc` turns
+them into UTC months or days for the calendar splits and the stats.
 :class:`HistoryIndex` layers the occurrence lookups that samplers and
 scorers need (pair-at-time membership, prior-pair enumeration, loop
 history) on top of sorted columnar arrays. Both structures are
@@ -14,7 +17,6 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass
-from datetime import datetime, timezone
 from functools import cached_property
 from typing import Iterable, Optional
 
@@ -155,6 +157,27 @@ class DynamicGraph:
                 f"bin_width={self.bin_width_seconds}s)")
 
 
+_UTC_SECONDS = (-62135596800, 253402300800)    # datetime's range: [0001-01-01, 10000-01-01)
+
+
+def utc(raw, unit: str) -> np.ndarray:
+    """Epoch seconds as UTC ``datetime64[unit]`` (``"M"`` months, ``"D"`` days);
+    ``ValueError`` outside the years 1 to 9999, where ``datetime`` ends."""
+    raw = np.asarray(raw, dtype=np.int64)
+    if raw.size and not (_UTC_SECONDS[0] <= raw.min() and raw.max() < _UTC_SECONDS[1]):
+        raise ValueError(f"raw times must lie in the years 1 to 9999 UTC, {_UTC_SECONDS}")
+    return raw.astype("datetime64[s]").astype(f"datetime64[{unit}]")
+
+
+def binned(src: np.ndarray, dst: np.ndarray, raw: np.ndarray, anchor: int,
+           width: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """``(src, dst, bin, raw)`` with ``bin = (raw - anchor) // width``, all
+    four stably sorted by bin (edges in one bin keep their order)."""
+    bins = (raw - anchor) // width
+    order = np.argsort(bins, kind="stable")
+    return src[order], dst[order], bins[order], raw[order]
+
+
 def build_graph(records: Iterable[tuple], bin_width_seconds: int = 300) -> DynamicGraph:
     """Build a graph from ``(src_name, dst_name, raw_epoch_seconds)`` records.
 
@@ -185,16 +208,9 @@ def build_graph(records: Iterable[tuple], bin_width_seconds: int = 300) -> Dynam
         srcs.append(registry.intern(str(s)))
         dsts.append(registry.intern(str(d)))
         raws.append(raw)
-    if not srcs:
-        return DynamicGraph(registry, _EMPTY_I64, _EMPTY_I64, _EMPTY_I64,
-                            _EMPTY_I64, bin_width_seconds, 0)
-    raw_arr = np.asarray(raws, dtype=np.int64)
-    anchor = int(raw_arr.min())
-    bins = (raw_arr - anchor) // bin_width_seconds
-    order = np.argsort(bins, kind="stable")
-    src_arr = np.asarray(srcs, dtype=np.int64)[order]
-    dst_arr = np.asarray(dsts, dtype=np.int64)[order]
-    return DynamicGraph(registry, src_arr, dst_arr, bins[order], raw_arr[order],
+    src, dst, raw_arr = (np.asarray(c, dtype=np.int64) for c in (srcs, dsts, raws))
+    anchor = int(raw_arr.min()) if raw_arr.size else 0
+    return DynamicGraph(registry, *binned(src, dst, raw_arr, anchor, bin_width_seconds),
                         bin_width_seconds, anchor)
 
 
@@ -208,9 +224,6 @@ def subgraph(parent: DynamicGraph, indices: np.ndarray) -> tuple[DynamicGraph, n
     """
     indices = np.asarray(indices, dtype=np.int64)
     new_of_old = np.full(parent.n, -1, dtype=np.int64)
-    if indices.size == 0:
-        return (DynamicGraph(NodeRegistry(), _EMPTY_I64, _EMPTY_I64, _EMPTY_I64,
-                             _EMPTY_I64, parent.bin_width_seconds, 0), new_of_old)
     s = parent.src[indices]
     d = parent.dst[indices]
     raw = parent.raw[indices]
@@ -221,11 +234,10 @@ def subgraph(parent: DynamicGraph, indices: np.ndarray) -> tuple[DynamicGraph, n
     old_of_new = uniq[np.argsort(first_pos, kind="stable")]
     new_of_old[old_of_new] = np.arange(old_of_new.size, dtype=np.int64)
     registry = NodeRegistry(parent.registry.name_of(int(o)) for o in old_of_new)
-    anchor = int(raw.min())
-    bins = (raw - anchor) // parent.bin_width_seconds
-    order = np.argsort(bins, kind="stable")
-    g = DynamicGraph(registry, new_of_old[s][order], new_of_old[d][order],
-                     bins[order], raw[order], parent.bin_width_seconds, anchor)
+    width = parent.bin_width_seconds
+    anchor = int(raw.min()) if raw.size else 0
+    g = DynamicGraph(registry, *binned(new_of_old[s], new_of_old[d], raw, anchor, width),
+                     width, anchor)
     return g, new_of_old
 
 
@@ -523,10 +535,6 @@ class GraphStats:
     end_date: Optional[str]
 
 
-def _utc_date(epoch_seconds: int) -> str:
-    return datetime.fromtimestamp(int(epoch_seconds), tz=timezone.utc).date().isoformat()
-
-
 def stats(graph: DynamicGraph) -> GraphStats:
     """Node/edge/pair/loop counts plus the UTC date span of the raw times.
 
@@ -551,6 +559,6 @@ def stats(graph: DynamicGraph) -> GraphStats:
         loop_count=loop_count,
         unique_pair_fraction=unique_pairs / m,
         loop_fraction=loop_count / m,
-        start_date=_utc_date(graph.raw.min()),
-        end_date=_utc_date(graph.raw.max()),
+        start_date=str(utc(graph.raw.min(), "D")),
+        end_date=str(utc(graph.raw.max(), "D")),
     )

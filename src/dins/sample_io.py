@@ -25,17 +25,17 @@ import hashlib
 import json
 import math
 import os
-import tempfile
+import secrets
 from contextlib import contextmanager
 from pathlib import Path
 from typing import Iterable, Iterator, Mapping, Union
 
 import numpy as np
 
-from .graph import (DynamicGraph, EdgeBlock, IngestError, NodeRegistry,
+from .graph import (DynamicGraph, EdgeBlock, IngestError, NodeRegistry, binned,
                     build_graph)
 from .sampling import SampleSet
-from .split import MonthlySplit, WindowSpec
+from .split import MonthlySplit, WindowSpec, sparse_month_mask
 
 PathLike = Union[str, Path]
 
@@ -50,10 +50,12 @@ def cache_dir() -> Path:
 
 @contextmanager
 def atomic_open(path: PathLike, mode: str = "w") -> Iterator:
-    """Open a temp file next to ``path`` and rename it over on success."""
+    """Open a temp file next to ``path`` and rename it over on success; it
+    is created 0666 less the umask, as ``open`` would create ``path``."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.", suffix=".tmp")
+    tmp = path.parent / f".{path.name}.{secrets.token_hex(8)}.tmp"
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, mode, encoding=None if "b" in mode else "utf-8") as fh:
             yield fh
@@ -314,7 +316,6 @@ def load_dataset(path: PathLike, bin_width_seconds: int = 300,
     if drop:
         records = [r for r in records if r[0] not in drop and r[1] not in drop]
     if min_month_edges > 1 and records:
-        from .split import sparse_month_mask
         raws = np.array([r[2] for r in records], dtype=np.int64)
         keep = sparse_month_mask(raws, min_month_edges)
         records = [r for r, k in zip(records, keep.tolist()) if k]
@@ -355,8 +356,6 @@ def write_split_dir(dirpath: PathLike, split: MonthlySplit) -> None:
 def _block_from_records(records: list[tuple[str, str, int]],
                         registry: NodeRegistry, anchor: int,
                         bin_width: int, what: str) -> EdgeBlock:
-    if not records:
-        return EdgeBlock.empty()
     try:
         src = np.array([registry.id_of(r[0]) for r in records], dtype=np.int64)
         dst = np.array([registry.id_of(r[1]) for r in records], dtype=np.int64)
@@ -364,9 +363,7 @@ def _block_from_records(records: list[tuple[str, str, int]],
         raise IngestError(f"{what}: node {exc.args[0]!r} does not appear "
                           "in the training edges") from None
     raw = np.array([r[2] for r in records], dtype=np.int64)
-    bins = (raw - anchor) // bin_width
-    order = np.argsort(bins, kind="stable")
-    return EdgeBlock(src[order], dst[order], bins[order], raw[order])
+    return EdgeBlock(*binned(src, dst, raw, anchor, bin_width))
 
 
 def read_split_dir(dirpath: PathLike) -> MonthlySplit:

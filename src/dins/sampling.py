@@ -22,7 +22,7 @@ category and the label follow. Its ``samples`` view lists them as
 All strategies are pure functions of ``(batch, graph, config, rng)``:
 they never mutate the graph, and every emitted negative is checked to
 be absent from the edge multiset at its timestamp. Draws that cannot be
-satisfied within the configured retry caps are dropped and tallied, not
+satisfied within ``RETRY_CAP`` attempts are dropped and tallied, not
 raised. Feed each batch the substream from :func:`batch_rng` so batches
 can be sampled independently (even concurrently) and merged in batch
 order with reproducible results. Draws replay PCG64 output (:class:`_Replay`):
@@ -41,6 +41,8 @@ import numpy as np
 
 from .config import _M32, VALID_LOOP_POOL, SamplerConfig, derive_rng, derive_rngs
 from .graph import Batch, DynamicGraph, HistoryIndex
+
+RETRY_CAP = 32     # attempts before a rejection loop gives up and tallies a shortfall
 
 # sample labels
 POS = "pos"
@@ -357,9 +359,9 @@ def _draw_one_replacement(draw, n: int, u: int, v: int) -> int:
 
 
 def _redraw_nonedge(draw, index: HistoryIndex, n: int,
-                    u: int, v: int, t: int, replace_dst: bool, cap: int) -> int:
+                    u: int, v: int, t: int, replace_dst: bool) -> int:
     """Replacement draw rejected while (u,r,t) resp. (r,v,t) is an edge."""
-    for _ in range(cap):
+    for _ in range(RETRY_CAP):
         r = _draw_one_replacement(draw, n, u, v)
         s, d = (u, r) if replace_dst else (r, v)
         if r < 0 or not index.pair_occurred(s, d, t):
@@ -369,7 +371,7 @@ def _redraw_nonedge(draw, index: HistoryIndex, n: int,
 
 def _replacement_column(draws: _Replay, group: np.ndarray, index: HistoryIndex,
                         n: int, src: np.ndarray, dst: np.ndarray, ts: np.ndarray,
-                        replace_dst: bool, cap: int) -> np.ndarray:
+                        replace_dst: bool) -> np.ndarray:
     """One replacement per row; -1 where the pool is empty or retries ran out.
 
     Rows of ``group`` g (ascending) draw as batch g of ``draws``: first the
@@ -393,14 +395,14 @@ def _replacement_column(draws: _Replay, group: np.ndarray, index: HistoryIndex,
     hit = index.occurred(*((src[rows], x) if replace_dst else (x, dst[rows])), ts[rows])
     for i in np.sort(rows[hit]).tolist():
         r[i] = _redraw_nonedge(draws.draw(int(group[i])), index, n,
-                               int(src[i]), int(dst[i]), int(ts[i]), replace_dst, cap)
+                               int(src[i]), int(dst[i]), int(ts[i]), replace_dst)
     return r
 
 
-def _retry_loop_pick(idx: HistoryIndex, draw, before: int, t: int, cap: int) -> int:
+def _retry_loop_pick(idx: HistoryIndex, draw, before: int, t: int) -> int:
     """Draw from the loopless pool before ``before`` while (r, r, t) is an edge."""
     total = idx.loopless_count(before)
-    for _ in range(cap):
+    for _ in range(RETRY_CAP):
         r = idx.loopless_pick(before, draw(0, total))
         if not idx.pair_occurred(r, r, t):
             return r
@@ -454,7 +456,7 @@ class _Run:
         """The index row of each edge's pair, resolved once per run."""
         return self.idx.pair_rows(self.src, self.dst)
 
-    def temporal(self, q: int, t_f: int, cap: int) -> tuple[np.ndarray, ...]:
+    def temporal(self, q: int, t_f: int) -> tuple[np.ndarray, ...]:
         """Up to q distinct free bins in [t, min(t + t_f, batch max)] per edge.
 
         Returns (edge, slot, bin) of every emitted bin. Where at most q
@@ -504,13 +506,13 @@ class _Run:
             short = np.flatnonzero(acc.sum(axis=1) < q)
             if short.size:
                 for col, more in zip((edges, slots, bins), self._temporal_rounds(
-                        rej[short], cand[short], acc[short], hi, starts, stops, q, cap)):
+                        rej[short], cand[short], acc[short], hi, starts, stops, q)):
                     col.append(more)
         if not edges:
             return (np.zeros(0, dtype=np.int64),) * 3
         return np.concatenate(edges), np.concatenate(slots), np.concatenate(bins)
 
-    def _temporal_rounds(self, edges, cand, acc, hi, starts, stops, q, cap):
+    def _temporal_rounds(self, edges, cand, acc, hi, starts, stops, q):
         """Retry rounds for the edges that phase one left short, in edge order.
 
         A round draws as many bins as the edge still needs and keeps the
@@ -535,7 +537,7 @@ class _Run:
                 need.tolist())):
             base = i * span - lo_i
             got: list[int] = []
-            for _ in range(cap - 1):
+            for _ in range(RETRY_CAP - 1):
                 for tn in integers(b, lo_i, top_i, need_i - len(got)):
                     if base + tn not in taken:
                         taken.add(base + tn)
@@ -548,10 +550,10 @@ class _Run:
         return (np.array(out_e, dtype=np.int64), np.array(out_slot, dtype=np.int64),
                 np.array(out_bin, dtype=np.int64))
 
-    def historical(self, cap: int) -> tuple[np.ndarray, ...]:
+    def historical(self) -> tuple[np.ndarray, ...]:
         """A pair first seen before each edge's bin, else a replaced receiver.
 
-        Per edge, in edge order: up to ``cap`` draws of an earlier pair,
+        Per edge, in edge order: up to ``RETRY_CAP`` draws of an earlier pair,
         kept once it is not an edge at the bin; when there is none or
         every draw collides, a receiver replacement. Returns each edge's
         (src, dst), -1 where the replacement failed too, and whether it
@@ -564,19 +566,19 @@ class _Run:
                 self.bid.tolist(), self.src.tolist(), self.dst.tolist(),
                 self.t.tolist(), idx.prior_pair_counts(self.t).tolist())):
             draw = self.draws.draw(b)
-            for _ in range(cap if c else 0):
+            for _ in range(RETRY_CAP if c else 0):
                 pair = idx.prior_pair(draw(0, c))
                 if not idx.pair_occurred(*pair, t):
                     out[:, i] = pair
                     break
             else:
                 fell[i] = True
-                r = _redraw_nonedge(draw, idx, n, u, v, t, True, cap)
+                r = _redraw_nonedge(draw, idx, n, u, v, t, True)
                 if r >= 0:
                     out[:, i] = u, r
         return out[0], out[1], fell
 
-    def loops(self, pool_mode: str, cap: int) -> tuple[np.ndarray, ...]:
+    def loops(self, pool_mode: str) -> tuple[np.ndarray, ...]:
         """One negative self-loop per distinct bin of each batch.
 
         Returns (batch, slot, node, bin) of every emitted loop, in bin
@@ -598,7 +600,7 @@ class _Run:
             for j in rows[hit].tolist():
                 b = int(tb[j])
                 nodes[j] = _retry_loop_pick(idx, self.draws.draw(b), int(self.t_min[b]),
-                                            int(ts[j]), cap)
+                                            int(ts[j]))
         else:
             # the pool shrinks before each bin, so draw bin by bin
             totals = idx.loopless_counts(ts)
@@ -608,7 +610,7 @@ class _Run:
                     draw = self.draws.draw(b)
                     r = idx.loopless_pick(tj, draw(0, total))
                     if idx.pair_occurred(r, r, tj):
-                        r = _retry_loop_pick(idx, draw, tj, tj, cap)
+                        r = _retry_loop_pick(idx, draw, tj, tj)
                     nodes[j] = r
         ok = nodes >= 0
         tb = tb[ok]
@@ -662,7 +664,6 @@ def _sample_run(run: _Run, config: SamplerConfig, strategy: str, pool_mode: str 
     if pool_mode not in VALID_LOOP_POOL:        # before any draw
         raise ValueError(f"unknown pool_mode {pool_mode!r}")
     mech = _MECHANISMS[strategy]
-    cap = config.node_retry_cap
     n_batches, n_edges = run.sizes.size, run.t.size
     src, dst, t, bid = run.src, run.dst, run.t, run.bid
     lead = np.zeros(n_edges, dtype=np.int64)     # samples before an edge's temporals
@@ -670,26 +671,26 @@ def _sample_run(run: _Run, config: SamplerConfig, strategy: str, pool_mode: str 
     replace = partial(_replacement_column, run.draws, bid, run.idx, run.graph.n, src, dst, t)
     senders = receivers = None
     if "sender" in mech:
-        senders = replace(False, cap)
+        senders = replace(False)
         s_ok = senders >= 0
         lead += s_ok
         skips.append(("sender_skipped", s_ok))
     if "receiver" in mech:
-        receivers = replace(True, cap)
+        receivers = replace(True)
         r_ok = receivers >= 0
         skips.append(("skipped" if strategy == "random" else "receiver_skipped", r_ok))
     per_edge = lead + (r_ok if receivers is not None else 0)
     if "historical" in mech:
-        hsrc, hdst, fell = run.historical(cap)
+        hsrc, hdst, fell = run.historical()
         h_ok = hsrc >= 0
         per_edge = per_edge + h_ok
         skips.append(("skipped", h_ok))
     if "temporal" in mech:
-        te, tslot, tbin = run.temporal(config.q, config.t_f, config.temporal_retry_cap)
+        te, tslot, tbin = run.temporal(config.q, config.t_f)
         per_edge = per_edge + np.bincount(te, minlength=n_edges)
     n_loops = n_enh = np.zeros(n_batches, dtype=np.int64)
     if "loops" in mech:
-        lb, lslot, lnode, lbin, loop_short = run.loops(pool_mode, cap)
+        lb, lslot, lnode, lbin, loop_short = run.loops(pool_mode)
         n_loops = np.bincount(lb, minlength=n_batches)
     if "enhancement" in mech:
         hb, hslot, hpos = run.enhancement(config.k)
@@ -777,7 +778,7 @@ def sample_random_baseline(batch: Batch, graph: DynamicGraph,
 
     For each positive (u, v, t), draw r uniformly from V minus {u, v}
     and emit (u, r, t) once it is not an edge; give up after
-    ``node_retry_cap`` attempts and count the positive under
+    ``RETRY_CAP`` attempts and count the positive under
     ``skipped``.
     """
     return _sample_one("random", batch, graph, config, rng)

@@ -7,9 +7,16 @@ for bursty periods. Splits are transductive: eval edges touching a node
 unseen in the train window are dropped (and counted), and survivors are
 divided chronologically into validation and test.
 
+Months come from :func:`dins.graph.utc`, raw seconds as ``datetime64``
+months, for the schedule and the sparse-month filter alike. Raw times
+must lie in the years 1 to 9999 (and a schedule must end by the close of
+November 9999, since its last window ends a month later); others raise
+``ValueError``.
+
 Within a split, bins are recomputed from the train window's own
-earliest raw time, so a bin offset of 288 means 24 hours in every split
-regardless of where the split sits in the dataset.
+earliest raw time with :func:`dins.graph.binned`, so a bin offset of 288
+means 24 hours in every split regardless of where the split sits in the
+dataset.
 """
 
 from __future__ import annotations
@@ -21,10 +28,12 @@ from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
-from .graph import DynamicGraph, EdgeBlock, subgraph
+from .graph import DynamicGraph, EdgeBlock, binned, subgraph, utc
 
 __all__ = ["WindowSpec", "MonthlySplit", "monthly_schedule", "window_pairs",
            "make_split", "load_windows_file", "sparse_month_mask"]
+
+_LAST_MONTH = np.datetime64("9999-12")
 
 
 @dataclass(frozen=True)
@@ -41,17 +50,6 @@ class WindowSpec:
 
     def to_dict(self) -> dict:
         return {"label": self.label, "start": self.start, "end": self.end}
-
-
-def _month_floor(epoch: int) -> tuple[int, int]:
-    d = datetime.fromtimestamp(int(epoch), tz=timezone.utc)
-    return d.year, d.month
-
-def _month_start_epoch(year: int, month: int) -> int:
-    return int(datetime(year, month, 1, tzinfo=timezone.utc).timestamp())
-
-def _next_month(year: int, month: int) -> tuple[int, int]:
-    return (year + 1, 1) if month == 12 else (year, month + 1)
 
 
 def monthly_schedule(graph: DynamicGraph,
@@ -72,17 +70,13 @@ def monthly_schedule(graph: DynamicGraph,
         return ws
     if graph.m == 0:
         raise ValueError("cannot schedule windows for an empty graph")
-    t_lo = int(graph.raw.min())
-    t_hi = int(graph.raw.max())
-    year, month = _month_floor(t_lo)
-    out: list[WindowSpec] = []
-    while _month_start_epoch(year, month) <= t_hi:
-        ny, nm = _next_month(year, month)
-        out.append(WindowSpec(label=f"{year:04d}-{month:02d}",
-                              start=_month_start_epoch(year, month),
-                              end=_month_start_epoch(ny, nm)))
-        year, month = ny, nm
-    return out
+    first, last = utc([graph.raw.min(), graph.raw.max()], "M")
+    if last == _LAST_MONTH:
+        raise ValueError("the window of 9999-12 would end in the year 10000")
+    months = np.arange(first, last + 2)    # each window's month and the one after
+    bounds = months.astype("datetime64[s]").astype(np.int64).tolist()
+    return [WindowSpec(label=label, start=start, end=end) for label, start, end
+            in zip(np.datetime_as_string(months[:-1]).tolist(), bounds, bounds[1:])]
 
 
 def window_pairs(windows: Sequence[WindowSpec]) -> list[tuple[WindowSpec, WindowSpec]]:
@@ -139,11 +133,8 @@ def make_split(graph: DynamicGraph, train_window: WindowSpec,
     d = new_of_old[graph.dst[ev_idx]]
     keep = (s >= 0) & (d >= 0)
     dropped = int(ev_idx.size - keep.sum())
-    s, d = s[keep], d[keep]
-    raw = graph.raw[ev_idx][keep]
-    bins = (raw - train.raw_anchor) // graph.bin_width_seconds
-    order = np.argsort(bins, kind="stable")
-    s, d, bins, raw = s[order], d[order], bins[order], raw[order]
+    s, d, bins, raw = binned(s[keep], d[keep], graph.raw[ev_idx][keep],
+                             train.raw_anchor, graph.bin_width_seconds)
 
     n_val = int(s.size * val_fraction)
     val = EdgeBlock(s[:n_val], d[:n_val], bins[:n_val], raw[:n_val])
@@ -194,12 +185,8 @@ def load_windows_file(path) -> list[WindowSpec]:
 def sparse_month_mask(raw_seconds: np.ndarray, min_edges: int) -> np.ndarray:
     """Keep-mask dropping edges in UTC months with fewer than ``min_edges``."""
     raw_seconds = np.asarray(raw_seconds, dtype=np.int64)
-    if min_edges <= 1 or raw_seconds.size == 0:
+    if min_edges <= 1:
         return np.ones(raw_seconds.size, dtype=bool)
-    keys = np.array([ym[0] * 12 + ym[1] for ym in map(_month_floor, raw_seconds.tolist())],
-                    dtype=np.int64)
-    uniq, counts = np.unique(keys, return_counts=True)
-    sparse = set(uniq[counts < min_edges].tolist())
-    if not sparse:
-        return np.ones(raw_seconds.size, dtype=bool)
-    return np.array([k not in sparse for k in keys.tolist()], dtype=bool)
+    _, month, counts = np.unique(utc(raw_seconds, "M"), return_inverse=True,
+                                 return_counts=True)
+    return counts[month] >= min_edges

@@ -11,7 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 from .config import DEFAULT_BIN_WIDTH_SECONDS, derive_rng
-from .graph import DynamicGraph, NodeRegistry, _owned_readonly
+from .graph import DynamicGraph, NodeRegistry, binned
 
 __all__ = ["random_records", "graph_from_arrays", "random_graph",
            "recurrence_records", "gap_pattern_records", "multi_month_records"]
@@ -47,21 +47,11 @@ def graph_from_arrays(src: np.ndarray, dst: np.ndarray, t: np.ndarray,
     Bypasses name interning and record validation; node ids must
     already lie in ``[0, n_nodes)`` and ``t`` holds bin indices.
     """
-    src = np.asarray(src, dtype=np.int64)
-    dst = np.asarray(dst, dtype=np.int64)
-    t = np.asarray(t, dtype=np.int64)
-    order = np.argsort(t, kind="stable")
-    registry = NodeRegistry()
-    for i in range(n_nodes):
-        registry.intern(f"user{i}")
-    raw = raw_anchor + t * bin_width_seconds
-    return DynamicGraph(registry=registry,
-                        src=_owned_readonly(src[order]),
-                        dst=_owned_readonly(dst[order]),
-                        t=_owned_readonly(t[order]),
-                        raw=_owned_readonly(raw[order]),
-                        bin_width_seconds=bin_width_seconds,
-                        raw_anchor=raw_anchor)
+    registry = NodeRegistry(f"user{i}" for i in range(n_nodes))
+    src, dst, t = (np.asarray(c, dtype=np.int64) for c in (src, dst, t))
+    return DynamicGraph(registry, *binned(src, dst, raw_anchor + t * bin_width_seconds,
+                                          raw_anchor, bin_width_seconds),
+                        bin_width_seconds, raw_anchor)
 
 
 def random_graph(n_nodes: int, n_edges: int, seed: int, *,
@@ -110,6 +100,13 @@ def recurrence_records(n_pairs: int, n_epochs: int, seed: int, *,
     return records
 
 
+def _month_starts(first: tuple[int, int], n: int) -> list[int]:
+    """Epoch seconds of ``n`` consecutive UTC month starts from ``(year, month)``."""
+    month = (first[0] - 1970) * 12 + first[1] - 1     # months since 1970-01
+    months = np.arange(month, month + n).astype("datetime64[M]")
+    return months.astype("datetime64[s]").astype(np.int64).tolist()
+
+
 def gap_pattern_records(n_pairs: int = 100, recur_fraction: float = 0.3, *,
                         seed: int = 0,
                         bin_width_seconds: int = DEFAULT_BIN_WIDTH_SECONDS
@@ -125,12 +122,9 @@ def gap_pattern_records(n_pairs: int = 100, recur_fraction: float = 0.3, *,
     pairs are disjoint (2i, 2i+1), so a replaced receiver never forms a
     known pair.
     """
-    from datetime import datetime, timezone
-
     if not 0.0 <= recur_fraction <= 1.0:
         raise ValueError("recur_fraction must be in [0, 1]")
-    month1 = int(datetime(2021, 1, 1, tzinfo=timezone.utc).timestamp())
-    month2 = int(datetime(2021, 2, 1, tzinfo=timezone.utc).timestamp())
+    month1, month2 = _month_starts((2021, 1), 2)
     n_recur = int(round(recur_fraction * n_pairs))
     records: list[tuple[str, str, int]] = []
     for i in range(n_pairs):
@@ -154,14 +148,8 @@ def multi_month_records(n_nodes: int, edges_per_month: int, n_months: int,
     the month. Sized like a year of a mid-size community when called
     with the defaults of the pipeline benchmark.
     """
-    from datetime import datetime, timezone
-
     rng = derive_rng(seed, 109)
-    year, month = start_month
-    boundaries = []
-    for i in range(n_months + 1):
-        y, m = year + (month - 1 + i) // 12, (month - 1 + i) % 12 + 1
-        boundaries.append(int(datetime(y, m, 1, tzinfo=timezone.utc).timestamp()))
+    boundaries = _month_starts(start_month, n_months + 1)
     records: list[tuple[str, str, int]] = []
     for i in range(n_months):
         lo, hi = boundaries[i], boundaries[i + 1]

@@ -5,6 +5,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import os
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
@@ -16,7 +17,7 @@ from hypothesis import strategies as st
 from dins import (EVAL_NEGATIVE_CATEGORIES, PipelineConfig, SamplerConfig, build_graph,
                   sample_batches)
 from dins.cli import main
-from dins.runner import average_ranks
+from dins.runner import average_ranks, run_experiment
 from dins.sample_io import (IngestError, atomic_open, eval_lines, load_graph,
                             read_edge_csv, read_samples_jsonl,
                             read_scores_jsonl, sample_key, save_graph,
@@ -207,6 +208,23 @@ def test_atomic_write_leaves_nothing_behind(tmp_path):
             raise RuntimeError("boom")
     assert not target.exists()
     assert list(target.parent.iterdir()) == []  # no stray temp files
+
+
+def test_atomic_writes_follow_the_umask(tmp_path):
+    # a plain open() creates 0666 less the umask; a temp file made by
+    # tempfile.mkstemp would leave every artifact owner-only (0600)
+    old = os.umask(0o022)
+    try:
+        for umask, mode in ((0o022, 0o644), (0o077, 0o600)):
+            os.umask(umask)
+            for name, how in ((f"text{umask:o}.json", "w"), (f"bin{umask:o}.npz", "wb")):
+                with atomic_open(tmp_path / name, how) as fh:
+                    fh.write(b"x" if "b" in how else "x")
+                assert (tmp_path / name).stat().st_mode & 0o777 == mode
+    finally:
+        os.umask(old)
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "bin22.npz", "bin77.npz", "text22.json", "text77.json"]
 
 
 # -- subcommands ---------------------------------------------------------------------
@@ -424,6 +442,112 @@ def test_cli_defaults_are_the_config_defaults(months_csv, tmp_path):
     sampler = defaults.sampler()
     assert meta["config"] == {"q": sampler.q, "t_f": sampler.t_f, "k": sampler.k,
                               "seed": sampler.seed}
+
+
+@pytest.mark.parametrize("setting, message", [
+    ({"batch_size": 2.5}, "batch_size must be an integer, got 2.5"),
+    ({"seed": True}, "seed must be an integer, got True"),
+    ({"q": "5"}, "q must be an integer, got '5'"),
+    ({"val_fraction": "0.5"}, "val_fraction must be a number, got '0.5'"),
+    ({"strategies": "random"}, "strategies must be a list of strings, got 'random'"),
+    ({"strategis": ["random"]}, "unknown config key(s): strategis"),
+])
+def test_config_files_are_checked_like_flags(months_csv, tmp_path, setting, message):
+    # a wrong type or an unknown key exits 1 naming it, before any work
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"dataset": str(months_csv), **setting}))
+    code, out, err = run_cli("run", "--config", str(cfg_path), "--out-dir",
+                             str(tmp_path / "run"))
+    assert (code, out) == (1, "")
+    assert json.loads(err)["message"] == message
+    assert not (tmp_path / "run").exists()
+
+
+def test_config_types_are_checked_and_a_run_config_loads_back(months_csv, tmp_path):
+    with pytest.raises(TypeError, match="seed must be an integer, got True"):
+        PipelineConfig(dataset="x", seed=True)
+    with pytest.raises(TypeError, match="dataset must be a string or null"):
+        PipelineConfig(dataset=3)
+    with pytest.raises(ValueError, match=r"unknown config key\(s\): jobs, out_dir"):
+        PipelineConfig.from_dict({"dataset": "x", "out_dir": "y", "jobs": 2})
+    # numpy scalars count as the Python numbers they stand for
+    PipelineConfig(dataset="x", q=np.int64(3), val_fraction=np.float64(0.25))
+    first = cli_json("run", str(months_csv), "--out-dir", str(tmp_path / "a"),
+                     "--batch-size", "64", "--strategies", "dins,random")
+    again = cli_json("run", "--config", str(tmp_path / "a" / "config.json"),
+                     "--out-dir", str(tmp_path / "b"))
+    assert again["statuses"] == first["statuses"] == {"2021-01": "ok"}
+    for name in ("config.json", "summary.json"):
+        assert (tmp_path / "b" / name).read_bytes() == (tmp_path / "a" / name).read_bytes()
+
+
+def test_evaluate_checks_its_config_before_reading_the_split(tmp_path):
+    # the sampling seed goes through PipelineConfig like every other setting
+    code, out, err = run_cli("evaluate", "--split-dir", str(tmp_path / "missing"),
+                             "--seed", "-1")
+    assert (code, out) == (1, "")
+    assert json.loads(err)["message"] == "seed must be non-negative"
+
+
+# -- external score files in a run -------------------------------------------------
+
+
+def _score_files(months_csv, tmp_path):
+    """A scored run's config, and each eval key with its label."""
+    probe = tmp_path / "probe"
+    run_experiment(PipelineConfig(dataset=str(months_csv), batch_size=64), probe)
+    recs = [json.loads(line) for line in
+            (probe / "splits" / "2021-01" / "eval_samples.jsonl").read_text().splitlines()]
+    scores_dir = tmp_path / "scores"
+    scores_dir.mkdir()
+    config = PipelineConfig(dataset=str(months_csv), batch_size=64,
+                            strategies=("dins", "random"), scores_dir=str(scores_dir))
+    return config, {r["key"]: r["label"] for r in recs}
+
+
+def _write_scores(path, labels, pos_score):
+    """Positives score ``pos_score`` and negatives 0.5: AUC 1, 0.5 or 0."""
+    path.parent.mkdir(parents=True, exist_ok=True)
+    write_scores_jsonl(path, {k: pos_score if lab == POS else 0.5
+                              for k, lab in labels.items()})
+
+
+def test_scores_dir_layouts_in_lookup_order(months_csv, tmp_path):
+    config, labels = _score_files(months_csv, tmp_path)
+    base = Path(config.scores_dir)
+    _write_scores(base / "2021-01" / "dins.jsonl", labels, 1.0)
+    _write_scores(base / "2021-01_dins.jsonl", labels, 0.5)
+    _write_scores(base / "2021-01.jsonl", labels, 0.0)
+    _write_scores(base / "2021-01_random.jsonl", labels, 0.5)
+
+    def overall(run):
+        (outcome,) = run_experiment(config, tmp_path / run)["splits"]
+        assert outcome["status"] == "ok"
+        return {s: rep["categories"]["overall"]["auc"]
+                for s, rep in outcome["reports"].items()}
+
+    # <split>/<strategy>.jsonl, then <split>_<strategy>.jsonl, then <split>.jsonl
+    assert overall("r1") == {"dins": 1.0, "random": 0.5}
+    (base / "2021-01" / "dins.jsonl").unlink()
+    assert overall("r2") == {"dins": 0.5, "random": 0.5}
+    (base / "2021-01_dins.jsonl").unlink()
+    (base / "2021-01_random.jsonl").unlink()
+    assert overall("r3") == {"dins": 0.0, "random": 0.0}
+
+
+def test_scores_dir_missing_file_or_key_fails_that_strategy(months_csv, tmp_path):
+    config, labels = _score_files(months_csv, tmp_path)
+    base = Path(config.scores_dir)
+    some = dict(list(labels.items())[1:])          # one eval key has no score
+    _write_scores(base / "2021-01_dins.jsonl", some, 1.0)
+    (outcome,) = run_experiment(config, tmp_path / "run")["splits"]
+    assert outcome["status"] == "partial"
+    assert set(outcome["reports"]) == set()
+    dins_error, random_error = (outcome["strategies"][s]["error"] for s in ("dins", "random"))
+    assert dins_error.startswith("MissingScoresError")
+    assert random_error.startswith("FileNotFoundError") and "2021-01.jsonl" in random_error
+    # the training samples are written before the scores are looked up
+    assert (tmp_path / "run" / "splits" / "2021-01" / "samples_random.jsonl").exists()
 
 
 def test_errors_are_json_on_stderr(tmp_path):

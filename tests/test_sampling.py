@@ -531,11 +531,12 @@ def test_one_batch_calls_leave_the_generator_as_calls_would(monkeypatch):
     # build_eval_set, against itself with its draws made as calls; every
     # node is loopless before the first batch, so loop picks draw and retry
     sides = {}
+    monkeypatch.setattr(sampling, "RETRY_CAP", 4)
     for side in ("replay", "calls"):
         if side == "calls":
             monkeypatch.setattr(evaluation, "_Replay", _SettledCalls)
         rngs = [_waiting(seed) for seed in range(len(EVAL_NEGATIVE_CATEGORIES))]
-        sets = [build_eval_set(blocks[0], g, g.history, cat, rng, retry_cap=4)
+        sets = [build_eval_set(blocks[0], g, g.history, cat, rng)
                 for cat, rng in zip(EVAL_NEGATIVE_CATEGORIES, rngs)]
         sides[side] = ([ss.samples for ss in sets], [rng.bit_generator.state for rng in rngs])
     assert sides["replay"] == sides["calls"]

@@ -2,16 +2,19 @@
 
 from __future__ import annotations
 
+import calendar
 import codecs
 import csv
 import json
+import time
+from datetime import datetime, timezone
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dins import WindowSpec, build_graph, make_split, monthly_schedule, window_pairs
+from dins import WindowSpec, build_graph, make_split, monthly_schedule, stats, window_pairs
 from dins.sample_io import load_dataset, read_split_dir, write_split_dir
 from dins.split import load_windows_file, sparse_month_mask
 
@@ -259,3 +262,101 @@ def test_sparse_month_mask():
     assert keep.tolist() == [True, True, True, False, True, True]
     assert sparse_month_mask(raw, min_edges=0).all()
     assert sparse_month_mask(np.array([], dtype=np.int64), 5).size == 0
+
+
+# -- the month rule against the datetime formulas it replaced --------------------
+
+
+def _month_floor(epoch: int) -> tuple[int, int]:
+    d = datetime.fromtimestamp(int(epoch), tz=timezone.utc)
+    return d.year, d.month
+
+def _month_start_epoch(year: int, month: int) -> int:
+    return int(datetime(year, month, 1, tzinfo=timezone.utc).timestamp())
+
+def _next_month(year: int, month: int) -> tuple[int, int]:
+    return (year + 1, 1) if month == 12 else (year, month + 1)
+
+
+def oracle_schedule(t_lo: int, t_hi: int) -> list[WindowSpec]:
+    """The month loop ``monthly_schedule`` ran before it used datetime64."""
+    year, month = _month_floor(t_lo)
+    out: list[WindowSpec] = []
+    while _month_start_epoch(year, month) <= t_hi:
+        ny, nm = _next_month(year, month)
+        out.append(WindowSpec(label=f"{year:04d}-{month:02d}",
+                              start=_month_start_epoch(year, month),
+                              end=_month_start_epoch(ny, nm)))
+        year, month = ny, nm
+    return out
+
+
+def oracle_sparse_month_mask(raw_seconds: np.ndarray, min_edges: int) -> np.ndarray:
+    """The per-edge datetime mask ``sparse_month_mask`` computed before."""
+    raw_seconds = np.asarray(raw_seconds, dtype=np.int64)
+    if min_edges <= 1 or raw_seconds.size == 0:
+        return np.ones(raw_seconds.size, dtype=bool)
+    keys = np.array([ym[0] * 12 + ym[1] for ym in map(_month_floor, raw_seconds.tolist())],
+                    dtype=np.int64)
+    uniq, counts = np.unique(keys, return_counts=True)
+    sparse = set(uniq[counts < min_edges].tolist())
+    if not sparse:
+        return np.ones(raw_seconds.size, dtype=bool)
+    return np.array([k not in sparse for k in keys.tolist()], dtype=bool)
+
+
+LAST_SCHEDULABLE = 253399622399     # 9999-11-30T23:59:59Z
+# times near a month's start (month and year ends), on 29 February, or anywhere
+NEAR_MONTH_START = st.builds(lambda y, m, off: _month_start_epoch(y, m) + off,
+                             st.integers(1970, 9999), st.integers(1, 12),
+                             st.integers(-DAY, DAY))
+LEAP_DAY = st.builds(lambda y, s: _month_start_epoch(y, 3) - DAY + s,
+                     st.integers(1970, 9999).filter(calendar.isleap), st.integers(0, DAY - 1))
+RAW = st.one_of(NEAR_MONTH_START, LEAP_DAY, st.integers(0, LAST_SCHEDULABLE)).map(
+    lambda t: min(max(t, 0), LAST_SCHEDULABLE))
+
+
+@given(t_lo=RAW, span=st.one_of(st.integers(0, 3 * DAY), st.integers(0, 900 * DAY)))
+@settings(max_examples=300, deadline=None)
+def test_monthly_schedule_matches_the_datetime_loop(t_lo, span):
+    t_hi = min(t_lo + span, LAST_SCHEDULABLE)
+    g = build_graph([("a", "b", t_hi), ("b", "a", t_lo)])
+    assert monthly_schedule(g) == oracle_schedule(t_lo, t_hi)
+
+
+@given(raw=st.lists(RAW, max_size=30), min_edges=st.integers(-1, 4))
+@settings(max_examples=300, deadline=None)
+def test_sparse_month_mask_matches_the_datetime_mask(raw, min_edges):
+    raw = np.array(raw, dtype=np.int64)
+    got = sparse_month_mask(raw, min_edges)
+    assert got.dtype == bool
+    assert got.tolist() == oracle_sparse_month_mask(raw, min_edges).tolist()
+
+
+def test_month_limits_are_datetime_limits():
+    # datetime ends with the year 9999: a schedule cannot close December
+    # 9999, and no month or date is named from the year 10000 on. Each
+    # input answers at once; a schedule up to 2**62 seconds is never built.
+    started = time.perf_counter()
+    for raw, mask, end_date in [(253399622400, [False, False], "9999-12-01"),
+                                (253402300799, [False, False], "9999-12-31"),
+                                (253402300800, None, None),
+                                (2 ** 62, None, None)]:
+        g = build_graph([("a", "b", JAN), ("b", "a", raw)])
+        with pytest.raises(ValueError):
+            monthly_schedule(g)
+        if mask is None:
+            with pytest.raises(ValueError):
+                sparse_month_mask(g.raw, 2)
+            with pytest.raises(ValueError):
+                stats(g)
+        else:
+            assert sparse_month_mask(g.raw, 2).tolist() == mask
+            assert (stats(g).start_date, stats(g).end_date) == ("2021-01-01", end_date)
+        # a threshold of one keeps every edge without reading the times
+        assert sparse_month_mask(g.raw, 1).tolist() == [True, True]
+    assert [w.label for w in monthly_schedule(build_graph([("a", "b", LAST_SCHEDULABLE)]))] \
+        == ["9999-11"]
+    with pytest.raises(ValueError):
+        sparse_month_mask(np.array([-62135596801, JAN]), 2)    # the year 0
+    assert time.perf_counter() - started < 1.0
