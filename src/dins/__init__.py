@@ -19,7 +19,7 @@ from .graph import (Batch, DynamicGraph, EdgeBlock, GraphStats,
 from .runner import average_ranks, process_split, run_experiment
 from .sample_io import (load_dataset, load_graph, read_samples_jsonl,
                         read_scores_jsonl, read_split_dir, sample_key,
-                        save_graph, write_samples_jsonl, write_scores_jsonl,
+                        sample_keys, save_graph, write_samples_jsonl, write_scores_jsonl,
                         write_split_dir)
 from .sampling import (CATEGORIES, NEG, POS, STRATEGIES, VOCABULARY, Sample,
                        SampleSet, batch_rng, positive_enhancement, sample_batches,
@@ -56,7 +56,7 @@ __all__ = [
     "SCORER_KINDS", "ScorerSpec", "make_scorer",
     # io
     "load_dataset", "load_graph", "read_samples_jsonl", "read_scores_jsonl",
-    "read_split_dir", "sample_key", "save_graph", "write_samples_jsonl",
+    "read_split_dir", "sample_key", "sample_keys", "save_graph", "write_samples_jsonl",
     "write_scores_jsonl", "write_split_dir",
     # runner
     "average_ranks", "process_split", "run_experiment",

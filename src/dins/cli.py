@@ -38,7 +38,7 @@ from .graph import stats as graph_stats
 from .runner import load_configured, run_experiment, window_schedule
 from .sample_io import (atomic_open, cache_dir, eval_lines, read_json,
                         read_samples_jsonl, read_scores_jsonl, read_split_dir,
-                        sample_key, save_graph, write_json, write_registry_json,
+                        sample_keys, save_graph, write_json, write_registry_json,
                         write_samples_jsonl, write_scores_jsonl, write_split_dir)
 from .sampling import STRATEGIES, sample_batches
 from .scorers import make_scorer
@@ -149,9 +149,11 @@ def cmd_score(args) -> int:
     src, dst, t = (np.array([rec[f] for rec in records], dtype=np.int64)
                    for f in ("src", "dst", "t"))
     category = np.array([str(rec["category"]) for rec in records], dtype=object)
+    names, code = np.unique(category, return_inverse=True)
+    keys = sample_keys(src, dst, t, code, names.tolist())
     scores: dict[str, float] = {}
-    for rec, c, score in zip(records, category, scorer(src, dst, t, category).tolist()):
-        scores[str(rec.get("key") or sample_key(rec["src"], rec["dst"], rec["t"], c))] = score
+    for rec, key, score in zip(records, keys, scorer(src, dst, t, category).tolist()):
+        scores[str(rec.get("key") or key)] = score
     write_scores_jsonl(args.out, scores)
     _emit({"path": args.out, "n_scores": len(scores), "scorer": spec.kind})
     return 0
@@ -186,6 +188,8 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_run(args) -> int:
+    if args.jobs < 1:
+        raise ValueError(f"--jobs must be at least 1, got {args.jobs}")
     if args.config and args.dataset:
         raise ValueError("give either a dataset argument or --config, not both")
     if not (args.config or args.dataset):

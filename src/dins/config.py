@@ -173,8 +173,12 @@ class PipelineConfig:
         self.columns = tuple(self.columns)
         if self.bin_width_seconds <= 0:
             raise ValueError("bin_width_seconds must be positive")
-        if not 0.0 <= self.val_fraction <= 1.0:
-            raise ValueError("val_fraction must be in [0, 1]")
+        # a split with val_fraction 1 has no test edges to evaluate
+        if not 0.0 <= self.val_fraction < 1.0:
+            raise ValueError("val_fraction must be in [0, 1)")
+        repeated = sorted({s for s in self.strategies if self.strategies.count(s) > 1})
+        if repeated:
+            raise ValueError(f"strategies must not repeat: {', '.join(repeated)}")
         if self.loop_pool not in VALID_LOOP_POOL:
             raise ValueError(f"loop_pool must be one of {VALID_LOOP_POOL}")
         if self.loop_eval not in VALID_LOOP_EVAL:
@@ -222,6 +226,8 @@ class PipelineConfig:
     @classmethod
     def from_dict(cls, d: dict) -> "PipelineConfig":
         """The config of ``d``'s settings; a key that names no field is an error."""
+        if not isinstance(d, dict):
+            raise TypeError(f"a config must be a JSON object, got {type(d).__name__}")
         unknown = sorted(set(d) - {f.name for f in fields(cls)})
         if unknown:
             raise ValueError(f"unknown config key(s): {', '.join(unknown)}")

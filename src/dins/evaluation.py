@@ -29,7 +29,7 @@ import numpy as np
 
 from .config import derive_rng
 from .graph import DynamicGraph, EdgeBlock, HistoryIndex
-from .sample_io import sample_key
+from .sample_io import sample_keys
 from .sampling import (_CATEGORY_OF, H6, H12, H24, LOOP, OBSERVED, RANDOM_RECEIVER,
                        RANDOM_SENDER, SampleSet, _Replay, _replacement_column, _retry_loop_pick)
 
@@ -222,8 +222,7 @@ def _scores(sets: list[SampleSet], scorer: Scorer) -> np.ndarray:
                              for c in ("src", "dst", "t", "code"))
         scores = np.asarray(scorer(src, dst, t, _CATEGORY_OF[code]), dtype=np.float64)
     else:
-        keys = [sample_key(src, dst, t, cat)
-                for ss in sets for src, dst, t, _, cat in ss.rows()]
+        keys = [key for ss in sets for key in sample_keys(ss.src, ss.dst, ss.t, ss.code)]
         values = [scorer.get(key) for key in keys]
         missing = [key for key, value in zip(keys, values) if value is None]
         if missing:
@@ -276,6 +275,9 @@ def eval_records(test_positives: EdgeBlock,
                  eval_sets: dict[str, SampleSet]) -> list[dict]:
     """Keyed JSON records of all eval samples, for external scoring."""
     sets = [positives_of(test_positives)] + [eval_sets[c] for c in EVAL_NEGATIVE_CATEGORIES]
+    # the keys come first, so that their int lists are gone before rows() makes its own
     return [{"src": src, "dst": dst, "t": t, "label": label, "category": cat, "batch": 0,
-             "key": sample_key(src, dst, t, cat)}
-            for ss in sets for src, dst, t, label, cat in ss.rows()]
+             "key": key}
+            for ss in sets
+            for key, (src, dst, t, label, cat) in zip(
+                sample_keys(ss.src, ss.dst, ss.t, ss.code), ss.rows())]

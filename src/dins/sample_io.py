@@ -21,20 +21,21 @@ through its reader in this module.
 from __future__ import annotations
 
 import csv
-import hashlib
 import json
 import math
 import os
 import secrets
 from contextlib import contextmanager
+from hashlib import blake2b
+from operator import itemgetter
 from pathlib import Path
-from typing import Iterable, Iterator, Mapping, Union
+from typing import Iterable, Iterator, Mapping, Sequence, Union
 
 import numpy as np
 
 from .graph import (DynamicGraph, EdgeBlock, IngestError, NodeRegistry, binned,
                     build_graph)
-from .sampling import SampleSet
+from .sampling import _LABEL_OF, VOCABULARY, SampleSet
 from .split import MonthlySplit, WindowSpec, sparse_month_mask
 
 PathLike = Union[str, Path]
@@ -95,13 +96,24 @@ def read_name_list(path: PathLike) -> list[str]:
 
 def sample_key(src: int, dst: int, t: int, category: str) -> str:
     """Stable 16-hex-char identity of a sample, equal across runs and hosts."""
-    h = hashlib.blake2b(f"{src}|{dst}|{t}|{category}".encode(), digest_size=8)
-    return h.hexdigest()
+    return blake2b(f"{src}|{dst}|{t}|{category}".encode(), digest_size=8).hexdigest()
 
 
-# A sample record as ``json.dumps`` writes it, up to the batch number:
-# ids are integers, and labels and categories are plain names.
-_SAMPLE_HEAD = '{"src": %d, "dst": %d, "t": %d, "label": "%s", "category": "%s", "batch": '
+def sample_keys(src: np.ndarray, dst: np.ndarray, t: np.ndarray, code: np.ndarray,
+                vocabulary: Sequence[str] = VOCABULARY) -> list[str]:
+    """``sample_key`` of every sample of the columns, whose ``code`` indexes
+    ``vocabulary``; the hashed bytes come from one template per category."""
+    forms = [b"%d|%d|%d|" + category.encode() for category in vocabulary]
+    return [blake2b(forms[c] % (s, d, u), digest_size=8).hexdigest()
+            for s, d, u, c in zip(src.tolist(), dst.tolist(), t.tolist(), code.tolist())]
+
+
+# A sample record as ``json.dumps`` writes it: ids are integers, and
+# labels and categories are plain names. The tail after the ids is baked
+# once per batch for each category code.
+_SAMPLE_HEAD = '{"src": %d, "dst": %d, "t": %d, '
+_SAMPLE_TAIL = '"label": "%s", "category": "%s", "batch": %d'
+_LABELLED = list(zip(_LABEL_OF.tolist(), VOCABULARY))
 
 
 def write_samples_jsonl(path: PathLike, sets: Iterable[SampleSet],
@@ -111,16 +123,20 @@ def write_samples_jsonl(path: PathLike, sets: Iterable[SampleSet],
     n = 0
     n_batches = 0
     tallies: dict[str, int] = {}
+    if with_keys:
+        line, end = _SAMPLE_HEAD + '%s%s"}\n', ', "key": "'
+    else:
+        line, end = _SAMPLE_HEAD + "%s", "}\n"
     with atomic_open(path) as fh:
         for ss in sets:
             n_batches += 1
-            head = _SAMPLE_HEAD + str(ss.origin_batch)
+            tails = [_SAMPLE_TAIL % (label, cat, ss.origin_batch) + end
+                     for label, cat in _LABELLED]
+            columns = [ss.src.tolist(), ss.dst.tolist(), ss.t.tolist(),
+                       list(map(tails.__getitem__, ss.code.tolist()))]
             if with_keys:
-                line = head + ', "key": "%s"}\n'
-                fh.write("".join([line % (src, dst, t, label, cat, sample_key(src, dst, t, cat))
-                                  for src, dst, t, label, cat in ss.rows()]))
-            else:
-                fh.write("".join(map((head + "}\n").__mod__, ss.rows())))
+                columns.append(sample_keys(ss.src, ss.dst, ss.t, ss.code))
+            fh.write("".join(map(line.__mod__, zip(*columns))))
             n += len(ss)
             for k, v in ss.tallies.items():
                 tallies[k] = tallies.get(k, 0) + int(v)
@@ -137,11 +153,86 @@ def eval_lines(records: Iterable[dict]) -> str:
     return "".join(map(_EVAL_LINE.__mod__, records))
 
 
+_scan_once = json.JSONDecoder().scan_once
+_BLOCK_CHARS = 1 << 18
+
+
+class _Unscanned(Exception):
+    """A file that the one-pass scan does not read; the per-line loop will."""
+
+
+def _scanned(path: PathLike) -> Iterator:
+    """The JSON value on each line of ``path``, from one pass of the C
+    scanner over the file, read in blocks of whole lines.
+
+    Raises :class:`_Unscanned` unless each line is exactly one value, with
+    no padding and no blank line. The scanner never reads past a value's
+    end, and a value must end where its line does, so a record split over
+    two lines cannot pair up with a line holding two records, as it can in
+    one parse of the lines joined with commas.
+    """
+    with open(path, "r", encoding="utf-8") as fh:
+        rest = ""
+        while True:
+            try:
+                block = fh.read(_BLOCK_CHARS)
+            except UnicodeDecodeError:
+                raise _Unscanned from None
+            if not block:
+                break
+            cut = block.rfind("\n") + 1
+            if not cut:
+                rest += block
+                continue
+            text, rest = rest + block[:cut], block[cut:]
+            yield from _scan_lines(text)
+    if rest:
+        yield from _scan_lines(rest + "\n")
+
+
+def _scan_lines(text: str) -> Iterator:
+    """The value on each line of ``text``, which ends with a newline."""
+    pos, stop = 0, len(text)
+    lines = text.count("\n")
+    while pos < stop:
+        try:
+            value, pos = _scan_once(text, pos)
+        except (StopIteration, ValueError, RecursionError):
+            raise _Unscanned from None
+        if text[pos] != "\n":
+            raise _Unscanned
+        pos += 1
+        lines -= 1
+        yield value
+    # Each value ended at a newline; it ended at its own line's newline only
+    # if there are as many values as newlines, since inside an object the
+    # scanner steps over newlines too.
+    if lines:
+        raise _Unscanned
+
+
 _SAMPLE_FIELDS = ("src", "dst", "t", "label", "category", "batch")
 _INT_FIELDS = ("src", "dst", "t", "batch")
 
 
 def read_samples_jsonl(path: PathLike) -> list[dict]:
+    """Sample records; a line that is not an object with integer ``src``,
+    ``dst``, ``t`` (in int64) and ``batch`` is an error naming the line."""
+    try:
+        records = list(_scanned(path))
+        if set(map(type, records)) == {dict}:
+            columns = {f: list(map(itemgetter(f), records)) for f in _SAMPLE_FIELDS}
+            # bool is an int subclass, so compare the exact type
+            if (all(set(map(type, columns[f])) == {int} for f in _INT_FIELDS)
+                    and all(-2 ** 63 <= min(columns[f]) and max(columns[f]) < 2 ** 63
+                            for f in ("src", "dst", "t"))):
+                return records
+    except (_Unscanned, KeyError):
+        pass
+    return _read_sample_lines(path)
+
+
+def _read_sample_lines(path: PathLike) -> list[dict]:
     out = []
     with open(path, "r", encoding="utf-8") as fh:
         for i, line in enumerate(fh, start=1):
@@ -150,8 +241,9 @@ def read_samples_jsonl(path: PathLike) -> list[dict]:
                 continue
             try:
                 rec = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise IngestError(f"{path}: line {i}: bad JSON ({exc.msg})") from None
+            except ValueError as exc:   # or an integer of more digits than int() takes
+                raise IngestError(f"{path}: line {i}: bad JSON "
+                                  f"({getattr(exc, 'msg', exc)})") from None
             if not isinstance(rec, dict):
                 raise IngestError(f"{path}: line {i}: expected a JSON object")
             missing = [f for f in _SAMPLE_FIELDS if f not in rec]
@@ -179,6 +271,28 @@ def read_scores_jsonl(path: PathLike) -> dict[str, float]:
     """Key -> score. Scores must be finite, and a key may repeat only
     with the same score: a NaN would rank as a group of its own, and a
     silently replaced score would change the report."""
+    out: dict = {}
+    n = 0
+    try:
+        for rec in _scanned(path):
+            out[rec["key"]] = rec["score"]
+            n += 1
+    except (_Unscanned, KeyError, TypeError):
+        return _read_score_lines(path)
+    # the per-line loop also takes keys that are not strings, bools and
+    # numeric strings as scores, and a key repeated with an equal score
+    kinds = set(map(type, out.values()))
+    if len(out) == n and set(map(type, out)) <= {str} and kinds <= {int, float}:
+        try:
+            finite = all(map(math.isfinite, out.values()))
+        except OverflowError:       # an integer too large for a float
+            return _read_score_lines(path)
+        if finite:
+            return out if kinds <= {float} else dict(zip(out, map(float, out.values())))
+    return _read_score_lines(path)
+
+
+def _read_score_lines(path: PathLike) -> dict[str, float]:
     out: dict[str, float] = {}
     with open(path, "r", encoding="utf-8") as fh:
         for i, line in enumerate(fh, start=1):
@@ -192,6 +306,9 @@ def read_scores_jsonl(path: PathLike) -> dict[str, float]:
             except (json.JSONDecodeError, KeyError, TypeError, ValueError):
                 raise IngestError(f"{path}: line {i}: expected "
                                   '{"key": ..., "score": ...}') from None
+            except OverflowError:
+                raise IngestError(f"{path}: line {i}: score of key {key!r} is an "
+                                  "integer too large for a float") from None
             first = out.setdefault(key, score)
             # only a finite score lies strictly between the infinities
             # (NaN compares false), so a valid line costs two comparisons

@@ -6,21 +6,22 @@ import csv
 import io
 import json
 import os
+import tempfile
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from dins import (EVAL_NEGATIVE_CATEGORIES, PipelineConfig, SamplerConfig, build_graph,
-                  sample_batches)
+from dins import (EVAL_NEGATIVE_CATEGORIES, VOCABULARY, PipelineConfig, SamplerConfig,
+                  SampleSet, build_graph, sample_batches, sample_io)
 from dins.cli import main
 from dins.runner import average_ranks, run_experiment
 from dins.sample_io import (IngestError, atomic_open, eval_lines, load_graph,
                             read_edge_csv, read_samples_jsonl,
-                            read_scores_jsonl, sample_key, save_graph,
+                            read_scores_jsonl, sample_key, sample_keys, save_graph,
                             write_samples_jsonl, write_scores_jsonl)
 from dins.sampling import NEG, OBSERVED, POS
 from dins.synthetic import multi_month_records
@@ -114,25 +115,56 @@ def test_samples_jsonl_reader_reports_line_numbers(tmp_path):
     assert read_samples_jsonl(path)[1]["src"] == 2 ** 63 - 1
 
 
-def test_sample_lines_are_json_dumps_of_their_records(tmp_path):
-    g = build_graph(multi_month_records(10, 150, 2, seed=1))
-    sets = list(sample_batches(g, "dins", SamplerConfig(k=64, q=3, seed=2),
-                               include_positives=True))
-    path = tmp_path / "s.jsonl"
-    for keyed in (False, True):
-        write_samples_jsonl(path, sets, with_keys=keyed)
-        want = []
-        for ss in sets:
-            for s in ss.samples:
-                rec = {"src": s.src, "dst": s.dst, "t": s.t, "label": s.label,
-                       "category": s.category, "batch": ss.origin_batch}
-                if keyed:
-                    rec["key"] = sample_key(s.src, s.dst, s.t, s.category)
-                want.append(json.dumps(rec) + "\n")
-        assert path.read_text() == "".join(want)
-
-
 INT64 = st.integers(-2 ** 63, 2 ** 63 - 1)
+# int64 columns that favour the extremes, where a formatter would break first
+INT64_EDGES = st.one_of(st.sampled_from([-2 ** 63, -2 ** 63 + 1, -1, 0, 1, 2 ** 63 - 1]),
+                        INT64)
+CODES = st.integers(0, len(VOCABULARY) - 1)
+
+
+def sample_sets():
+    """Sample sets over int64-extreme columns, every category code and any
+    origin batch."""
+    one = st.tuples(st.lists(st.tuples(INT64_EDGES, INT64_EDGES, INT64_EDGES, CODES),
+                             max_size=12),
+                    st.integers(0, 2 ** 31))
+    return st.lists(one, max_size=4).map(lambda sets: [
+        SampleSet(*(np.array([r[i] for r in rows], dtype=np.int64) for i in range(3)),
+                  np.array([r[3] for r in rows], dtype=np.uint8), batch)
+        for rows, batch in sets])
+
+
+@given(sample_sets(), st.booleans())
+@settings(max_examples=150, deadline=None)
+def test_sample_lines_are_json_dumps_of_their_records(sets, keyed):
+    want = []
+    for ss in sets:
+        for src, dst, t, label, cat in ss.rows():
+            rec = {"src": src, "dst": dst, "t": t, "label": label, "category": cat,
+                   "batch": ss.origin_batch}
+            if keyed:
+                rec["key"] = sample_key(src, dst, t, cat)
+            want.append(json.dumps(rec) + "\n")
+    with tempfile.TemporaryDirectory() as d:
+        path = Path(d) / "s.jsonl"
+        meta = write_samples_jsonl(path, sets, with_keys=keyed)
+        assert path.read_text() == "".join(want)
+        assert meta["n_samples"] == len(want) and meta["n_batches"] == len(sets)
+        assert read_samples_jsonl(path) == [json.loads(line) for line in want]
+
+
+@given(st.lists(st.tuples(INT64_EDGES, INT64_EDGES, INT64_EDGES, CODES), max_size=30))
+@settings(max_examples=100, deadline=None)
+def test_sample_keys_are_sample_key_row_by_row(rows):
+    src, dst, t, code = (np.array([r[i] for r in rows], dtype=np.int64) for i in range(4))
+    assert sample_keys(src, dst, t, code) == [
+        sample_key(s, d, u, VOCABULARY[c]) for s, d, u, c in rows]
+    # any vocabulary, such as the categories that a samples file names
+    names = ["zeta", "caf\u00e9", "a|b"]
+    code = code % len(names)
+    assert sample_keys(src, dst, t, code, names) == [
+        sample_key(s, d, u, names[c]) for s, d, u, c in zip(src.tolist(), dst.tolist(),
+                                                           t.tolist(), code.tolist())]
 
 
 @given(st.lists(st.tuples(INT64, INT64, INT64, INT64,
@@ -176,6 +208,184 @@ def test_scores_jsonl_rejects_conflicting_duplicate_keys(tmp_path):
     path.write_text('{"key": "aa", "score": 0.5}\n{"key": "aa", "score": 0.25}\n')
     with pytest.raises(IngestError, match="line 2.*'aa'.*0.25.*0.5"):
         read_scores_jsonl(path)
+
+
+def test_scores_jsonl_names_the_line_of_an_integer_too_large_for_a_float(tmp_path):
+    # float() of such an integer raised a bare OverflowError naming no line
+    path = tmp_path / "scores.jsonl"
+    path.write_text('{"key": "b", "score": 0.5}\n{"key": "a", "score": 1' + "0" * 400 + "}\n")
+    with pytest.raises(IngestError, match="line 2: score of key 'a' is an integer "
+                                          "too large for a float"):
+        read_scores_jsonl(path)
+    # an integer that a float holds is read as that float
+    path.write_text('{"key": "a", "score": 1' + "0" * 300 + "}\n")
+    assert read_scores_jsonl(path) == {"a": 1e300}
+
+
+# The per-line loops that the readers fall back on: they name the line at
+# fault, so the one-pass readers must agree with them on every file.
+ORACLES = {read_scores_jsonl: sample_io._read_score_lines,
+           read_samples_jsonl: sample_io._read_sample_lines}
+
+
+def _outcome(read, path):
+    try:
+        result = read(path)
+    except Exception as exc:    # the message and type must match too
+        return type(exc).__name__, str(exc)
+    if isinstance(result, dict):
+        return "ok", [(k, v, type(v)) for k, v in result.items()]
+    return "ok", [list(rec.items()) for rec in result]
+
+
+def _jsonl_files(record_lines):
+    """Texts of JSON-lines files: records from ``record_lines``, alone or among
+    blank, padded, \\r\\n-ended and malformed lines, and records split over
+    two lines or sharing one."""
+    plain = st.lists(record_lines, max_size=6).map(lambda lines: "".join(
+        line + "\n" for line in lines))
+    pad = st.sampled_from(["", " ", "\t", "  "])
+    odd = st.one_of(
+        st.sampled_from(["", " ", "\t", "5", "[1]", '"s"', "null", "{not json",
+                         '{"key": "a", "score": 1, "x": ["', '"]}',
+                         '{"key": "b", "score": 2}, {"key": "c", "score": 3}']),
+        st.tuples(pad, record_lines, pad).map("".join),
+        st.tuples(record_lines, record_lines).map(", ".join),
+        st.tuples(record_lines, record_lines).map(" ".join),
+        record_lines.map(lambda text: text.replace(", ", ",\n", 1)),
+        st.tuples(record_lines, record_lines).map(
+            lambda pair: " ".join(pair).replace(", ", ",\n", 1)))
+    line = st.one_of(record_lines, odd)
+    ends = st.sampled_from(["\n", "\n", "\n", "\r\n", "\r"])
+
+    def text(lines, last_end):
+        text = "".join(line + end for line, end in lines)
+        return text if last_end else text.rstrip("\r\n")
+    return st.one_of(plain, st.builds(text, st.lists(st.tuples(line, ends), max_size=8),
+                                      st.booleans()))
+
+
+# integer literals past int64 and float; the last has more digits than
+# int() converts by default
+HUGE = st.sampled_from([str(n) for n in (2 ** 53 + 1, 2 ** 63, 2 ** 64 + 1, 10 ** 300,
+                                         2 ** 1024 - 1, 2 ** 1024, 10 ** 400, -(10 ** 400))]
+                       + ["1" + "0" * 4400])
+SCORE_TEXT = st.one_of(st.sampled_from([0.5, 0.25, 1, 1.0, 0, -0.0]).map(json.dumps),
+                       st.floats(allow_nan=False, allow_infinity=False).map(json.dumps),
+                       st.integers().map(json.dumps), HUGE)
+KEY_TEXT = st.one_of(st.sampled_from(["a", "b", "c", "\u00e9", ""]),
+                     st.text(max_size=4)).map(json.dumps)
+
+
+def _score_line(key, score, defect):
+    """A score record's text, with one field dropped, replaced or added by
+    ``defect``'s text, if any."""
+    fields = {"key": key, "score": score}
+    if defect:
+        field, text = defect
+        if text is None:
+            fields.pop(field, None)
+        else:
+            fields[field] = text
+    return "{" + ", ".join(f'"{f}": {v}' for f, v in fields.items()) + "}"
+
+
+SCORE_LINES = st.builds(
+    _score_line, KEY_TEXT, SCORE_TEXT,
+    st.one_of(st.none(), st.none(),
+              st.tuples(st.sampled_from(["key", "score"]), st.none()),
+              st.tuples(st.just("key"), st.sampled_from(["5", "null", "true", "[1]", "{}",
+                                                          "1.5"])),
+              st.tuples(st.just("score"), st.sampled_from(
+                  ["NaN", "Infinity", "-Infinity", "true", "false", '"0.5"', '"x"', "null",
+                   "[1]", "1e400"])),
+              st.tuples(st.just("x"), st.just("1"))))
+
+def _sample_line(ids, category, keyed, defect):
+    """A sample record's text from its four integer fields, with one field
+    dropped or replaced by ``defect``'s text, if any."""
+    fields = {"src": ids[0], "dst": ids[1], "t": ids[2], "label": '"neg"',
+              "category": json.dumps(category), "batch": ids[3]}
+    if keyed:
+        fields["key"] = '"00ff00ff00ff00ff"'
+    if defect:
+        field, text = defect
+        if text is None:
+            del fields[field]
+        else:
+            fields[field] = text
+    return "{" + ", ".join(f'"{f}": {v}' for f, v in fields.items()) + "}"
+
+
+SAMPLE_LINES = st.builds(
+    _sample_line, st.lists(INT64_EDGES, min_size=4, max_size=4),
+    st.sampled_from(VOCABULARY), st.booleans(),
+    st.one_of(st.none(), st.none(),
+              st.tuples(st.sampled_from(["src", "dst", "t", "label", "category", "batch"]),
+                        st.none()),
+              st.tuples(st.sampled_from(["src", "dst", "t", "batch"]), st.one_of(
+                  HUGE, st.sampled_from([str(2 ** 63), str(-2 ** 63 - 1), "true", "1.0",
+                                         '"3"', "null"])))))
+
+
+SAMPLE = '{"src": 0, "dst": 1, "t": 2, "label": "neg", "category": "loop", "batch": 0}'
+
+
+@given(st.one_of(_jsonl_files(SCORE_LINES).map(lambda text: (read_scores_jsonl, text)),
+                 _jsonl_files(SAMPLE_LINES).map(lambda text: (read_samples_jsonl, text))))
+# a file that each check of the one-pass readers turns away
+@example((read_scores_jsonl, '{"key": "a",\n"score": 1}\n'))
+@example((read_scores_jsonl, '{"key": "a",\n"score": 1} {"key": "b", "score": 2}\n'))
+@example((read_scores_jsonl, '{"key": "a", "score": 1} {"key": "b", "score": 2}\n'))
+@example((read_scores_jsonl, '{"key": 5, "score": 0.5}\n'))
+@example((read_scores_jsonl, '{"key": "a", "score": true}\n{"key": "b", "score": "x"}\n'))
+@example((read_scores_jsonl, '{"key": "a", "score": 1e400}\n'))
+@example((read_scores_jsonl, '{"key": "a", "score": 1' + "0" * 400 + '}\n'))
+@example((read_scores_jsonl, '{"key": "a", "score": 1}\n{"key": "a", "score": 1.0}\n'))
+@example((read_scores_jsonl, '{"key": "a", "score": 1}\n{"key": "a", "score": 2}\n'))
+@example((read_samples_jsonl, SAMPLE.replace('"batch": 0', '"batch": true') + "\n"))
+@example((read_samples_jsonl, SAMPLE.replace('"src": 0', f'"src": {-2 ** 63 - 1}') + "\n"))
+@example((read_samples_jsonl, SAMPLE.replace('"dst": 1', f'"dst": {2 ** 63}') + "\n"))
+@example((read_samples_jsonl, SAMPLE.replace('"label": "neg", ', "") + "\n"))
+@settings(max_examples=500, deadline=None)
+def test_jsonl_readers_agree_with_their_per_line_loops(case):
+    read, text = case
+    with tempfile.TemporaryDirectory() as d:
+        path = Path(d) / "f.jsonl"
+        path.write_bytes(text.encode())
+        assert _outcome(read, path) == _outcome(ORACLES[read], path)
+
+
+@pytest.mark.parametrize("read", list(ORACLES))
+def test_jsonl_readers_scan_plain_files_in_one_pass(tmp_path, monkeypatch, read):
+    # the lines joined with commas parse as three records from three lines,
+    # but the first line is not JSON
+    path = tmp_path / "f.jsonl"
+    path.write_text('{"key": "a", "score": 1, "x": ["\n"]}\n'
+                    '{"key": "b", "score": 2}, {"key": "c", "score": 3}\n')
+    with pytest.raises(IngestError, match="line 1: bad JSON|line 1: expected"):
+        read(path)
+    # files as the writers write them, with or without the last newline,
+    # never reach the per-line loop
+    if read is read_scores_jsonl:
+        write_scores_jsonl(path, {"aa": 0.25, "bb": -1e300, "cc": 3.0})
+    else:
+        write_samples_jsonl(path, [SampleSet.of([2 ** 63 - 1, 0], [-2 ** 63, 1], [0, 5],
+                                                "loop")], with_keys=True)
+    text, want = path.read_text(), ORACLES[read](path)
+    monkeypatch.setattr(sample_io, ORACLES[read].__name__, None)
+    assert read(path) == want
+    path.write_text(text.rstrip("\n"))
+    assert read(path) == want
+
+
+def test_samples_jsonl_names_the_line_of_an_integer_with_too_many_digits(tmp_path):
+    # int() refuses more than 4300 digits with a bare ValueError
+    path = tmp_path / "s.jsonl"
+    path.write_text('{"src": 0, "dst": 1, "t": 2, "label": "neg", "category": "loop", '
+                    '"batch": 0}\n{"src": 1' + "0" * 4400 + "}\n")
+    with pytest.raises(IngestError, match="line 2: bad JSON .*4300 digits"):
+        read_samples_jsonl(path)
 
 
 def test_graph_npz_roundtrip(tmp_path):
@@ -406,7 +616,7 @@ def test_invalid_flags_are_rejected_up_front(months_csv, tmp_path):
     out_dir = tmp_path / "splits"
     for argv, message in [
         (("split", str(months_csv), "--out-dir", str(out_dir), "--val-fraction", "1.5"),
-         "val_fraction must be in [0, 1]"),
+         "val_fraction must be in [0, 1)"),
         (("stats", str(months_csv), "--min-month-edges", "-1"),
          "min_month_edges must be non-negative"),
         (("run", str(months_csv), "--out-dir", str(out_dir), "--lambda", "-1"),
@@ -460,6 +670,49 @@ def test_config_files_are_checked_like_flags(months_csv, tmp_path, setting, mess
                              str(tmp_path / "run"))
     assert (code, out) == (1, "")
     assert json.loads(err)["message"] == message
+    assert not (tmp_path / "run").exists()
+
+
+def test_run_config_must_be_an_object(months_csv, tmp_path):
+    # a list made str.join fail with "sequence item 0: expected str instance"
+    cfg_path = tmp_path / "c.json"
+    for text, kind in (("[1]", "list"), ('"x"', "str"), ("3", "int")):
+        cfg_path.write_text(text)
+        code, out, err = run_cli("run", "--config", str(cfg_path), "--out-dir",
+                                 str(tmp_path / "run"))
+        assert (code, out) == (1, "")
+        assert json.loads(err)["message"] == f"a config must be a JSON object, got {kind}"
+    assert not (tmp_path / "run").exists()
+
+
+def test_run_rejects_a_repeated_strategy(months_csv, tmp_path):
+    # a repeat was run twice and ranked against itself
+    code, out, err = run_cli("run", str(months_csv), "--out-dir", str(tmp_path / "run"),
+                             "--strategies", "dins,random,dins")
+    assert (code, out) == (1, "")
+    assert json.loads(err)["message"] == "strategies must not repeat: dins"
+    assert not (tmp_path / "run").exists()
+    with pytest.raises(ValueError, match="strategies must not repeat: loops, random"):
+        PipelineConfig(dataset="x", strategies=["random", "loops", "random", "loops"])
+
+
+def test_run_rejects_val_fraction_one(months_csv, tmp_path):
+    # every split's test block was empty, so every split ended in error
+    code, out, err = run_cli("run", str(months_csv), "--out-dir", str(tmp_path / "run"),
+                             "--val-fraction", "1.0")
+    assert (code, out) == (1, "")
+    assert json.loads(err)["message"] == "val_fraction must be in [0, 1)"
+    assert not (tmp_path / "run").exists()
+    assert PipelineConfig(dataset="x", val_fraction=0.0).val_fraction == 0.0
+
+
+@pytest.mark.parametrize("jobs", ["0", "-3"])
+def test_run_rejects_jobs_below_one(months_csv, tmp_path, jobs):
+    # they ran serially as if --jobs 1 had been given
+    code, out, err = run_cli("run", str(months_csv), "--out-dir", str(tmp_path / "run"),
+                             "--jobs", jobs)
+    assert (code, out) == (1, "")
+    assert json.loads(err)["message"] == f"--jobs must be at least 1, got {jobs}"
     assert not (tmp_path / "run").exists()
 
 
