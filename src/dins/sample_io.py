@@ -2,8 +2,8 @@
 
 Formats are deliberately small and stable:
 
-* edge CSV/TSV with a header naming source, destination and raw epoch
-  seconds (column names remappable);
+* edge CSV/TSV with a header naming source, destination and raw UNIX
+  seconds of the years 1970 to 9999 (column names remappable);
 * graph cache as a compressed ``.npz`` holding the sorted arrays plus
   the name table;
 * samples as JSON-lines ``{"src", "dst", "t", "label", "category",
@@ -15,8 +15,8 @@ Formats are deliberately small and stable:
 
 Every writer goes through a temp-file-then-rename so a crashed run
 never leaves a truncated artifact behind, and every format round-trips
-through its reader in this module.
-"""
+through its reader in this module. The CSV and JSON-lines readers check
+their input one line at a time, and each error names the line at fault."""
 
 from __future__ import annotations
 
@@ -27,14 +27,13 @@ import os
 import secrets
 from contextlib import contextmanager
 from hashlib import blake2b
-from operator import itemgetter
 from pathlib import Path
 from typing import Iterable, Iterator, Mapping, Sequence, Union
 
 import numpy as np
 
-from .graph import (DynamicGraph, EdgeBlock, IngestError, NodeRegistry, binned,
-                    build_graph)
+from .graph import (_UTC_SECONDS, DynamicGraph, EdgeBlock, IngestError, NodeRegistry,
+                    binned, build_graph)
 from .sampling import _LABEL_OF, VOCABULARY, SampleSet
 from .split import MonthlySplit, WindowSpec, sparse_month_mask
 
@@ -153,109 +152,66 @@ def eval_lines(records: Iterable[dict]) -> str:
     return "".join(map(_EVAL_LINE.__mod__, records))
 
 
+# Both readers try the C scanner on each raw line and take its value when
+# it ends at the line's newline. A line holds one newline, so the value can
+# neither run on into the next line nor share its line with another value.
+# A blank line is skipped, and any other line goes to ``_line_value``.
 _scan_once = json.JSONDecoder().scan_once
-_BLOCK_CHARS = 1 << 18
 
 
-class _Unscanned(Exception):
-    """A file that the one-pass scan does not read; the per-line loop will."""
-
-
-def _scanned(path: PathLike) -> Iterator:
-    """The JSON value on each line of ``path``, from one pass of the C
-    scanner over the file, read in blocks of whole lines.
-
-    Raises :class:`_Unscanned` unless each line is exactly one value, with
-    no padding and no blank line. The scanner never reads past a value's
-    end, and a value must end where its line does, so a record split over
-    two lines cannot pair up with a line holding two records, as it can in
-    one parse of the lines joined with commas.
-    """
-    with open(path, "r", encoding="utf-8") as fh:
-        rest = ""
-        while True:
-            try:
-                block = fh.read(_BLOCK_CHARS)
-            except UnicodeDecodeError:
-                raise _Unscanned from None
-            if not block:
-                break
-            cut = block.rfind("\n") + 1
-            if not cut:
-                rest += block
-                continue
-            text, rest = rest + block[:cut], block[cut:]
-            yield from _scan_lines(text)
-    if rest:
-        yield from _scan_lines(rest + "\n")
-
-
-def _scan_lines(text: str) -> Iterator:
-    """The value on each line of ``text``, which ends with a newline."""
-    pos, stop = 0, len(text)
-    lines = text.count("\n")
-    while pos < stop:
-        try:
-            value, pos = _scan_once(text, pos)
-        except (StopIteration, ValueError, RecursionError):
-            raise _Unscanned from None
-        if text[pos] != "\n":
-            raise _Unscanned
-        pos += 1
-        lines -= 1
-        yield value
-    # Each value ended at a newline; it ended at its own line's newline only
-    # if there are as many values as newlines, since inside an object the
-    # scanner steps over newlines too.
-    if lines:
-        raise _Unscanned
+def _line_value(path: PathLike, i: int, line: str):
+    """``json.loads`` of line ``i``, stripped, for a line that the C
+    scanner did not take whole; a line that is no JSON value is an error
+    naming it."""
+    try:
+        return json.loads(line.strip())
+    # ValueError is also an integer of more digits than int() takes
+    except (ValueError, RecursionError) as exc:
+        raise IngestError(f"{path}: line {i}: bad JSON "
+                          f"({getattr(exc, 'msg', exc)})") from None
 
 
 _SAMPLE_FIELDS = ("src", "dst", "t", "label", "category", "batch")
 _INT_FIELDS = ("src", "dst", "t", "batch")
+_FIELD_SET = frozenset(_SAMPLE_FIELDS)
+
+
+def _sample_problem(rec) -> str:
+    """What is wrong with a sample record that failed the reader's check."""
+    if type(rec) is not dict:
+        return "expected a JSON object"
+    missing = [f for f in _SAMPLE_FIELDS if f not in rec]
+    if missing:
+        return f"missing fields {missing}"
+    # bool is an int subclass, so compare the exact type
+    bad = [f for f in _INT_FIELDS if type(rec[f]) is not int]
+    if bad:
+        return f"fields {bad} must be integers"
+    wide = [f for f in ("src", "dst", "t") if not -2 ** 63 <= rec[f] < 2 ** 63]
+    return f"fields {wide} are outside int64"
 
 
 def read_samples_jsonl(path: PathLike) -> list[dict]:
     """Sample records; a line that is not an object with integer ``src``,
     ``dst``, ``t`` (in int64) and ``batch`` is an error naming the line."""
-    try:
-        records = list(_scanned(path))
-        if set(map(type, records)) == {dict}:
-            columns = {f: list(map(itemgetter(f), records)) for f in _SAMPLE_FIELDS}
-            # bool is an int subclass, so compare the exact type
-            if (all(set(map(type, columns[f])) == {int} for f in _INT_FIELDS)
-                    and all(-2 ** 63 <= min(columns[f]) and max(columns[f]) < 2 ** 63
-                            for f in ("src", "dst", "t"))):
-                return records
-    except (_Unscanned, KeyError):
-        pass
-    return _read_sample_lines(path)
-
-
-def _read_sample_lines(path: PathLike) -> list[dict]:
+    lo, hi = -2 ** 63, 2 ** 63
     out = []
     with open(path, "r", encoding="utf-8") as fh:
         for i, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
             try:
-                rec = json.loads(line)
-            except ValueError as exc:   # or an integer of more digits than int() takes
-                raise IngestError(f"{path}: line {i}: bad JSON "
-                                  f"({getattr(exc, 'msg', exc)})") from None
-            if not isinstance(rec, dict):
-                raise IngestError(f"{path}: line {i}: expected a JSON object")
-            missing = [f for f in _SAMPLE_FIELDS if f not in rec]
-            if missing:
-                raise IngestError(f"{path}: line {i}: missing fields {missing}")
-            # bool is an int subclass, so compare the exact type
-            bad = [f for f in _INT_FIELDS if type(rec[f]) is not int]
-            if bad:
-                raise IngestError(f"{path}: line {i}: fields {bad} must be integers")
-            wide = [f for f in ("src", "dst", "t") if not -2 ** 63 <= rec[f] < 2 ** 63]
-            if wide:
-                raise IngestError(f"{path}: line {i}: fields {wide} are outside int64")
+                rec, end = _scan_once(line, 0)
+                whole = line[end] == "\n"
+            except (StopIteration, ValueError, IndexError, RecursionError):
+                whole = False
+            if not whole:
+                if line.isspace():
+                    continue
+                rec = _line_value(path, i, line)
+            if not (type(rec) is dict and rec.keys() >= _FIELD_SET
+                    and type(rec["src"]) is type(rec["dst"]) is type(rec["t"])
+                    is type(rec["batch"]) is int
+                    and lo <= rec["src"] < hi and lo <= rec["dst"] < hi and lo <= rec["t"] < hi):
+                raise IngestError(f"{path}: line {i}: {_sample_problem(rec)}")
             out.append(rec)
     return out
 
@@ -268,47 +224,35 @@ def write_scores_jsonl(path: PathLike, scores: Mapping[str, float]) -> None:
 
 
 def read_scores_jsonl(path: PathLike) -> dict[str, float]:
-    """Key -> score. Scores must be finite, and a key may repeat only
-    with the same score: a NaN would rank as a group of its own, and a
-    silently replaced score would change the report."""
-    out: dict = {}
-    n = 0
-    try:
-        for rec in _scanned(path):
-            out[rec["key"]] = rec["score"]
-            n += 1
-    except (_Unscanned, KeyError, TypeError):
-        return _read_score_lines(path)
-    # the per-line loop also takes keys that are not strings, bools and
-    # numeric strings as scores, and a key repeated with an equal score
-    kinds = set(map(type, out.values()))
-    if len(out) == n and set(map(type, out)) <= {str} and kinds <= {int, float}:
-        try:
-            finite = all(map(math.isfinite, out.values()))
-        except OverflowError:       # an integer too large for a float
-            return _read_score_lines(path)
-        if finite:
-            return out if kinds <= {float} else dict(zip(out, map(float, out.values())))
-    return _read_score_lines(path)
-
-
-def _read_score_lines(path: PathLike) -> dict[str, float]:
+    """Key -> score. Keys must be strings and scores finite numbers, and a
+    key may repeat only with the same score: a NaN would rank as a group of
+    its own, and a silently replaced score would change the report."""
     out: dict[str, float] = {}
     with open(path, "r", encoding="utf-8") as fh:
         for i, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
             try:
-                rec = json.loads(line)
-                key = str(rec["key"])
-                score = float(rec["score"])
-            except (json.JSONDecodeError, KeyError, TypeError, ValueError):
+                rec, end = _scan_once(line, 0)
+                whole = line[end] == "\n"
+            except (StopIteration, ValueError, IndexError, RecursionError):
+                whole = False
+            if not whole:
+                if line.isspace():
+                    continue
+                rec = _line_value(path, i, line)
+            try:
+                key, score = rec["key"], rec["score"]
+            except (KeyError, TypeError):
+                key = score = None
+            # bool is an int subclass, so compare the exact type
+            if type(key) is not str or type(score) not in (float, int):
                 raise IngestError(f"{path}: line {i}: expected "
-                                  '{"key": ..., "score": ...}') from None
-            except OverflowError:
-                raise IngestError(f"{path}: line {i}: score of key {key!r} is an "
-                                  "integer too large for a float") from None
+                                  '{"key": ..., "score": ...}')
+            if type(score) is int:
+                try:
+                    score = float(score)
+                except OverflowError:
+                    raise IngestError(f"{path}: line {i}: score of key {key!r} is an "
+                                      "integer too large for a float") from None
             first = out.setdefault(key, score)
             # only a finite score lies strictly between the infinities
             # (NaN compares false), so a valid line costs two comparisons
@@ -368,8 +312,10 @@ def read_edge_csv(path: PathLike,
             except ValueError:
                 raise IngestError(f"{path}: line {i}: timestamp {ts!r} "
                                   "is not an integer") from None
-            if raw < 0:
-                raise IngestError(f"{path}: line {i}: negative timestamp {raw}")
+            if not 0 <= raw < _UTC_SECONDS[1]:
+                raise IngestError(f"{path}: line {i}: timestamp {raw} is out of range: "
+                                  "timestamps must be UNIX seconds from 1970 to the "
+                                  "year 9999")
             records.append((s, d, raw))
     return records
 

@@ -5,6 +5,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import math
 import os
 import tempfile
 from contextlib import redirect_stderr, redirect_stdout
@@ -16,7 +17,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dins import (EVAL_NEGATIVE_CATEGORIES, VOCABULARY, PipelineConfig, SamplerConfig,
-                  SampleSet, build_graph, sample_batches, sample_io)
+                  SampleSet, build_graph, sample_batches)
 from dins.cli import main
 from dins.runner import average_ranks, run_experiment
 from dins.sample_io import (IngestError, atomic_open, eval_lines, load_graph,
@@ -189,7 +190,7 @@ def test_scores_jsonl_roundtrip_and_errors(tmp_path):
         read_scores_jsonl(path)
 
 
-@pytest.mark.parametrize("bad", ["NaN", "Infinity", "-Infinity", '"nan"'])
+@pytest.mark.parametrize("bad", ["NaN", "Infinity", "-Infinity"])
 def test_scores_jsonl_rejects_non_finite_scores(tmp_path, bad):
     # a NaN ranks as its own group: one NaN positive against one NaN
     # negative would read AUC 0.0, not 0.5
@@ -210,6 +211,23 @@ def test_scores_jsonl_rejects_conflicting_duplicate_keys(tmp_path):
         read_scores_jsonl(path)
 
 
+def test_scores_jsonl_requires_string_keys_and_number_scores(tmp_path):
+    # these were read as {'a': 1.0, 'None': 0.5, '5': 1.0}: a model that wrote
+    # booleans, quoted scores or non-string keys was scored silently
+    path = tmp_path / "scores.jsonl"
+    path.write_text('{"key": "a", "score": true}\n{"key": null, "score": "0.5"}\n'
+                    '{"key": 5, "score": 1}\n')
+    with pytest.raises(IngestError, match="line 1: expected"):
+        read_scores_jsonl(path)
+    for key, score in [('"b"', "true"), ('"b"', "false"), ('"b"', '"0.5"'), ('"b"', '"nan"'),
+                       ('"b"', "null"), ('"b"', "[1]"), ("null", "0.5"), ("5", "1"),
+                       ("true", "0.5"), ('["b"]', "0.5")]:
+        path.write_text(f'{{"key": "a", "score": 0.5}}\n{{"key": {key}, "score": {score}}}\n')
+        with pytest.raises(IngestError, match=r'line 2: expected \{"key": \.\.\., '
+                                              r'"score": \.\.\.\}'):
+            read_scores_jsonl(path)
+
+
 def test_scores_jsonl_names_the_line_of_an_integer_too_large_for_a_float(tmp_path):
     # float() of such an integer raised a bare OverflowError naming no line
     path = tmp_path / "scores.jsonl"
@@ -222,10 +240,63 @@ def test_scores_jsonl_names_the_line_of_an_integer_too_large_for_a_float(tmp_pat
     assert read_scores_jsonl(path) == {"a": 1e300}
 
 
-# The per-line loops that the readers fall back on: they name the line at
-# fault, so the one-pass readers must agree with them on every file.
-ORACLES = {read_scores_jsonl: sample_io._read_score_lines,
-           read_samples_jsonl: sample_io._read_sample_lines}
+def _reference_lines(path):
+    """(line number, value) of each non-blank line: ``json.loads`` of the
+    stripped line."""
+    with open(path, "r", encoding="utf-8") as fh:
+        for i, line in enumerate(fh, start=1):
+            line = line.strip()
+            if not line:
+                continue
+            try:
+                yield i, json.loads(line)
+            except (ValueError, RecursionError) as exc:
+                raise IngestError(f"{path}: line {i}: bad JSON "
+                                  f"({getattr(exc, 'msg', exc)})") from None
+
+
+def reference_scores(path):
+    """``read_scores_jsonl`` as a plain loop of its rules."""
+    out = {}
+    for i, rec in _reference_lines(path):
+        key, score = (rec.get("key"), rec.get("score")) if isinstance(rec, dict) else (None, None)
+        if (not isinstance(key, str) or isinstance(score, bool)
+                or not isinstance(score, (int, float))):
+            raise IngestError(f'{path}: line {i}: expected {{"key": ..., "score": ...}}')
+        try:
+            score = float(score)
+        except OverflowError:
+            raise IngestError(f"{path}: line {i}: score of key {key!r} is an "
+                              "integer too large for a float") from None
+        if not math.isfinite(score):
+            raise IngestError(f"{path}: line {i}: score of key {key!r} is not finite ({score})")
+        if out.setdefault(key, score) != score:
+            raise IngestError(f"{path}: line {i}: key {key!r} repeats with score {score}, "
+                              f"earlier {out[key]}")
+    return out
+
+
+def reference_samples(path):
+    """``read_samples_jsonl`` as a plain loop of its rules."""
+    out = []
+    for i, rec in _reference_lines(path):
+        if not isinstance(rec, dict):
+            raise IngestError(f"{path}: line {i}: expected a JSON object")
+        missing = [f for f in ("src", "dst", "t", "label", "category", "batch")
+                   if f not in rec]
+        if missing:
+            raise IngestError(f"{path}: line {i}: missing fields {missing}")
+        bad = [f for f in ("src", "dst", "t", "batch") if type(rec[f]) is not int]
+        if bad:
+            raise IngestError(f"{path}: line {i}: fields {bad} must be integers")
+        wide = [f for f in ("src", "dst", "t") if not -2 ** 63 <= rec[f] < 2 ** 63]
+        if wide:
+            raise IngestError(f"{path}: line {i}: fields {wide} are outside int64")
+        out.append(rec)
+    return out
+
+
+ORACLES = {read_scores_jsonl: reference_scores, read_samples_jsonl: reference_samples}
 
 
 def _outcome(read, path):
@@ -333,11 +404,17 @@ SAMPLE = '{"src": 0, "dst": 1, "t": 2, "label": "neg", "category": "loop", "batc
 
 @given(st.one_of(_jsonl_files(SCORE_LINES).map(lambda text: (read_scores_jsonl, text)),
                  _jsonl_files(SAMPLE_LINES).map(lambda text: (read_samples_jsonl, text))))
-# a file that each check of the one-pass readers turns away
+# files that reach each of the readers' checks
 @example((read_scores_jsonl, '{"key": "a",\n"score": 1}\n'))
 @example((read_scores_jsonl, '{"key": "a",\n"score": 1} {"key": "b", "score": 2}\n'))
 @example((read_scores_jsonl, '{"key": "a", "score": 1} {"key": "b", "score": 2}\n'))
 @example((read_scores_jsonl, '{"key": 5, "score": 0.5}\n'))
+@example((read_scores_jsonl, '{"key": null, "score": 0.5}\n'))
+@example((read_scores_jsonl, '{"key": "a", "score": 0.5}\n{"key": "b", "score": false}\n'))
+@example((read_scores_jsonl, "[" * 100000 + "\n"))
+@example((read_scores_jsonl, " null\n"))
+@example((read_samples_jsonl, "null"))
+@example((read_samples_jsonl, SAMPLE + "\n" + "[" * 100000))
 @example((read_scores_jsonl, '{"key": "a", "score": true}\n{"key": "b", "score": "x"}\n'))
 @example((read_scores_jsonl, '{"key": "a", "score": 1e400}\n'))
 @example((read_scores_jsonl, '{"key": "a", "score": 1' + "0" * 400 + '}\n'))
@@ -357,26 +434,44 @@ def test_jsonl_readers_agree_with_their_per_line_loops(case):
 
 
 @pytest.mark.parametrize("read", list(ORACLES))
-def test_jsonl_readers_scan_plain_files_in_one_pass(tmp_path, monkeypatch, read):
+def test_jsonl_readers_reject_a_split_record_and_read_writer_output(tmp_path, read):
     # the lines joined with commas parse as three records from three lines,
     # but the first line is not JSON
     path = tmp_path / "f.jsonl"
     path.write_text('{"key": "a", "score": 1, "x": ["\n"]}\n'
                     '{"key": "b", "score": 2}, {"key": "c", "score": 3}\n')
-    with pytest.raises(IngestError, match="line 1: bad JSON|line 1: expected"):
+    with pytest.raises(IngestError, match="line 1: bad JSON"):
         read(path)
-    # files as the writers write them, with or without the last newline,
-    # never reach the per-line loop
+    # files as the writers write them read back the same with or without
+    # their last newline
     if read is read_scores_jsonl:
         write_scores_jsonl(path, {"aa": 0.25, "bb": -1e300, "cc": 3.0})
+        want = {"aa": 0.25, "bb": -1e300, "cc": 3.0}
     else:
         write_samples_jsonl(path, [SampleSet.of([2 ** 63 - 1, 0], [-2 ** 63, 1], [0, 5],
-                                                "loop")], with_keys=True)
-    text, want = path.read_text(), ORACLES[read](path)
-    monkeypatch.setattr(sample_io, ORACLES[read].__name__, None)
+                                                "loop", 7)], with_keys=True)
+        want = [{"src": s, "dst": d, "t": t, "label": "neg", "category": "loop",
+                 "batch": 7, "key": sample_key(s, d, t, "loop")}
+                for s, d, t in [(2 ** 63 - 1, -2 ** 63, 0), (0, 1, 5)]]
+    text = path.read_text()
     assert read(path) == want
     path.write_text(text.rstrip("\n"))
     assert read(path) == want
+
+
+def test_jsonl_readers_name_the_line_of_a_deeply_nested_value(tmp_path):
+    # the JSON parsers' RecursionError named no line
+    path = tmp_path / "deep.jsonl"
+    path.write_text("[" * 100000 + "\n")
+    for read in (read_scores_jsonl, read_samples_jsonl):
+        with pytest.raises(IngestError, match="line 1: bad JSON .*recursion"):
+            read(path)
+    code, _, err = run_cli("score", "--scorer", "constant", "--samples", str(path),
+                           "--out", str(tmp_path / "scores.jsonl"))
+    assert code == 1
+    assert json.loads(err)["error"] == "IngestError"
+    assert "line 1: bad JSON" in json.loads(err)["message"]
+    assert not (tmp_path / "scores.jsonl").exists()
 
 
 def test_samples_jsonl_names_the_line_of_an_integer_with_too_many_digits(tmp_path):
@@ -408,6 +503,28 @@ def test_edge_csv_error_cites_line_number(tmp_path):
     path.write_text("src,dst,timestamp\nalice,bob,notatime\n")
     with pytest.raises(IngestError, match="line 2"):
         read_edge_csv(path)
+
+
+def test_edge_csv_rejects_timestamps_past_the_year_9999(tmp_path, monkeypatch):
+    # a CSV in milliseconds ingested, and only a later command failed on it
+    path = tmp_path / "ms.csv"
+    path.write_text("src,dst,timestamp\nalice,bob,1609459200\nbob,alice,1609459200000\n")
+    with pytest.raises(IngestError, match="line 3: timestamp 1609459200000 .*UNIX seconds"):
+        read_edge_csv(path)
+    monkeypatch.setenv("DINS_CACHE_DIR", str(tmp_path / "cache"))
+    for argv in [(), ("--out", str(tmp_path / "ms.npz"))]:
+        code, out, err = run_cli("ingest", str(path), *argv)
+        assert code == 1 and out == ""
+        assert "line 3: timestamp 1609459200000" in json.loads(err)["message"]
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["ms.csv"]
+    # the last second of the year 9999 is the last one taken; negatives stay out
+    for raw, ok in [(253402300799, True), (253402300800, False), (-1, False)]:
+        path.write_text(f"src,dst,timestamp\nalice,bob,{raw}\n")
+        if ok:
+            assert read_edge_csv(path) == [("alice", "bob", raw)]
+        else:
+            with pytest.raises(IngestError, match="line 2: .*UNIX seconds"):
+                read_edge_csv(path)
 
 
 def test_atomic_write_leaves_nothing_behind(tmp_path):
