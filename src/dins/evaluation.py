@@ -31,12 +31,12 @@ from .config import derive_rng
 from .graph import DynamicGraph, EdgeBlock, HistoryIndex
 from .sample_io import sample_keys
 from .sampling import (_CATEGORY_OF, H6, H12, H24, LOOP, OBSERVED, RANDOM_RECEIVER,
-                       RANDOM_SENDER, SampleSet, _Replay, _replacement_column, _retry_loop_pick)
+                       RANDOM_SENDER, SampleSet, _Replay, _Run)
 
 __all__ = [
     "EVAL_CATEGORIES", "EVAL_NEGATIVE_CATEGORIES", "H_OFFSETS",
     "UndefinedMetricError", "MissingScoresError", "CategoryResult",
-    "EvalReport", "build_eval_set", "build_eval_sets", "auc",
+    "EvalReport", "build_eval_set", "build_eval_sets", "midranks", "auc",
     "evaluate_sets", "combined_index", "eval_records",
 ]
 
@@ -122,31 +122,24 @@ def build_eval_set(test_positives: EdgeBlock, graph: DynamicGraph,
     """
     if len(test_positives) == 0:
         raise ValueError("no test positives to evaluate")
-    src, dst, ts = test_positives.src, test_positives.dst, test_positives.t
     draws = _Replay.of(rng)
+    run = _Run(graph, draws, test_positives.src, test_positives.dst, test_positives.t,
+               [len(test_positives)], [0], index=index)
+    src, dst, ts = run.src, run.dst, run.t
 
     if category in (RANDOM_SENDER, RANDOM_RECEIVER):
         replace_dst = category == RANDOM_RECEIVER
-        r = _replacement_column(draws, np.zeros(src.size, dtype=np.int64), index,
-                                graph.n, src, dst, ts, replace_dst)
+        r = run.replacements(replace_dst)
         ok = r >= 0
         src, dst = (src, r) if replace_dst else (r, dst)
 
     elif category == LOOP:
-        before = int(ts.min())
         if loop_eval == "per-timestamp":
             ts = np.unique(ts)
         elif loop_eval != "per-positive":
             raise ValueError(f"unknown loop_eval {loop_eval!r}")
-        total = index.loopless_count(before)
-        if total == 0:
-            src = np.full(ts.size, -1, dtype=np.int64)
-        else:
-            src = index.loopless_picks(np.full(ts.size, before),
-                                       draws.ints(np.array([[ts.size]]), np.array([[total]])))
-            for i in np.flatnonzero(index.occurred(src, src, ts)).tolist():
-                src[i] = _retry_loop_pick(index, draws.draw(0), before, int(ts[i]))
-        dst = src
+        # one pool before the earliest positive; the positives need not be sorted
+        src = dst = run.loop_picks(np.zeros(ts.size, dtype=np.int64), ts.min(keepdims=True), ts)
         ok = src >= 0
 
     elif category in H_OFFSETS:
@@ -181,6 +174,22 @@ def positives_of(test_positives: EdgeBlock) -> SampleSet:
 # -- AUC ----------------------------------------------------------------------
 
 
+def midranks(values) -> np.ndarray:
+    """1-based ascending ranks of ``values``; tied values share their mean rank."""
+    values = np.asarray(values, dtype=float)
+    order = np.argsort(values, kind="mergesort")
+    sorted_values = values[order]
+    boundary = np.empty(values.size, dtype=bool)
+    boundary[:1] = True
+    boundary[1:] = sorted_values[1:] != sorted_values[:-1]
+    group = np.cumsum(boundary) - 1
+    counts = np.bincount(group)
+    starts = np.cumsum(counts) - counts
+    ranks = np.empty(values.size)
+    ranks[order] = (starts + (counts + 1) / 2.0)[group]
+    return ranks
+
+
 def auc(labels, scores) -> float:
     """Tie-aware AUC of the scores labeled True over those labeled False.
 
@@ -188,24 +197,12 @@ def auc(labels, scores) -> float:
     count divided by n_pos * n_neg.
     """
     labels = np.asarray(labels, dtype=bool)
-    scores = np.asarray(scores, dtype=float)
     n_pos = int(labels.sum())
     n_neg = int(labels.size - n_pos)
     if n_pos == 0 or n_neg == 0:
         raise UndefinedMetricError(
             "AUC needs at least one positive and one negative")
-    order = np.argsort(scores, kind="mergesort")
-    sorted_scores = scores[order]
-    boundary = np.empty(scores.size, dtype=bool)
-    boundary[0] = True
-    boundary[1:] = sorted_scores[1:] != sorted_scores[:-1]
-    group = np.cumsum(boundary) - 1
-    counts = np.bincount(group)
-    starts = np.cumsum(counts) - counts
-    midrank = starts + (counts + 1) / 2.0       # 1-based midrank per tie group
-    ranks = np.empty(scores.size)
-    ranks[order] = midrank[group]
-    pos_rank_sum = float(ranks[labels].sum())
+    pos_rank_sum = float(midranks(scores)[labels].sum())
     return (pos_rank_sum - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg)
 
 

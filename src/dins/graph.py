@@ -483,13 +483,8 @@ class HistoryIndex:
 
     # -- loop history ----------------------------------------------------
 
-    def loopless_count(self, before_t: int) -> int:
-        """Size of the pool of nodes with no self-loop strictly before ``before_t``."""
-        j = int(self._loop_first_t.searchsorted(before_t))
-        return int(self._never_looped.size + (self._loop_first_t.size - j))
-
     def loopless_counts(self, before_ts) -> np.ndarray:
-        """Vectorized :meth:`loopless_count`."""
+        """Size of the pool of nodes with no self-loop strictly before each ``before_ts[i]``."""
         j = np.searchsorted(self._loop_first_t, np.asarray(before_ts, dtype=np.int64),
                             side="left")
         return self._never_looped.size + (self._loop_first_t.size - j)
@@ -497,7 +492,7 @@ class HistoryIndex:
     def loopless_picks(self, before_ts, ranks) -> np.ndarray:
         """The ``ranks[i]``-th node of the loopless pool before ``before_ts[i]``.
 
-        Ranks must lie in ``[0, loopless_count(before_ts[i]))``; the pool
+        Ranks must lie in ``[0, loopless_counts(before_ts)[i])``; the pool
         lists never-looped nodes first, then later loopers by first loop.
         """
         ranks = np.asarray(ranks, dtype=np.int64)

@@ -27,7 +27,7 @@ import numpy as np
 
 from .config import PipelineConfig
 from .evaluation import (build_eval_sets, combined_index, eval_records,
-                         evaluate_sets)
+                         evaluate_sets, midranks)
 from .graph import DynamicGraph
 from .sample_io import (atomic_open, eval_lines, load_dataset, read_name_list,
                         read_scores_jsonl, write_json, write_samples_jsonl,
@@ -126,22 +126,6 @@ def process_split(graph: DynamicGraph, config: PipelineConfig,
     return outcome
 
 
-def _tie_mean_ranks(values: np.ndarray) -> np.ndarray:
-    """Descending-order ranks (1 = largest); tied values share the mean."""
-    order = np.argsort(-values, kind="mergesort")
-    sorted_vals = values[order]
-    boundary = np.empty(values.size, dtype=bool)
-    boundary[0] = True
-    boundary[1:] = sorted_vals[1:] != sorted_vals[:-1]
-    group = np.cumsum(boundary) - 1
-    counts = np.bincount(group)
-    starts = np.cumsum(counts) - counts
-    mid = starts + (counts + 1) / 2.0
-    ranks = np.empty(values.size)
-    ranks[order] = mid[group]
-    return ranks
-
-
 def average_ranks(outcomes: list[dict], strategies: tuple[str, ...]) -> dict:
     """Mean rank per strategy over splits where every strategy reported.
 
@@ -157,7 +141,7 @@ def average_ranks(outcomes: list[dict], strategies: tuple[str, ...]) -> dict:
     for o in usable:
         aucs = np.array([o["reports"][s]["categories"]["overall"]["auc"]
                          for s in strategies])
-        totals += _tie_mean_ranks(aucs)
+        totals += midranks(-aucs)     # rank 1 is the highest AUC
     means = totals / len(usable)
     return {"ranks": {s: float(r) for s, r in zip(strategies, means)},
             "n_splits": len(usable)}
@@ -186,11 +170,11 @@ def run_experiment(config: PipelineConfig, out_dir: str | Path, *,
         if strategy not in STRATEGIES:
             raise ValueError(f"unknown strategy {strategy!r}; expected one of "
                              f"{sorted(STRATEGIES)}")
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     if graph is None:
         graph = load_configured(config)
     schedule, pairs = window_schedule(graph, config.windows)
+    out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
     write_json(out / "config.json", config.to_dict())
 
     if jobs > 1 and len(pairs) > 1:

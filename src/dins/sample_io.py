@@ -74,6 +74,24 @@ def write_json(path: PathLike, obj) -> None:
         fh.write("\n")
 
 
+@contextmanager
+def _open_text(path: PathLike, encoding: str = "utf-8", newline: str | None = None) -> Iterator:
+    """A text file opened for reading whose undecodable bytes raise
+    :class:`IngestError` naming their line. The line is looked for only
+    once decoding has failed, so reading a valid file costs nothing more."""
+    try:
+        with open(path, "r", encoding=encoding, newline=newline) as fh:
+            yield fh
+    except UnicodeDecodeError:
+        with open(path, "rb") as fh:
+            for i, line in enumerate(fh.read().splitlines(), start=1):
+                try:
+                    line.decode()
+                except UnicodeDecodeError as exc:
+                    raise IngestError(f"{path}: line {i}: not UTF-8 ({exc.reason})") from None
+        raise
+
+
 def read_json(path: PathLike):
     with open(path, "r", encoding="utf-8") as fh:
         return json.load(fh)
@@ -196,7 +214,7 @@ def read_samples_jsonl(path: PathLike) -> list[dict]:
     ``dst``, ``t`` (in int64) and ``batch`` is an error naming the line."""
     lo, hi = -2 ** 63, 2 ** 63
     out = []
-    with open(path, "r", encoding="utf-8") as fh:
+    with _open_text(path) as fh:
         for i, line in enumerate(fh, start=1):
             try:
                 rec, end = _scan_once(line, 0)
@@ -228,7 +246,7 @@ def read_scores_jsonl(path: PathLike) -> dict[str, float]:
     key may repeat only with the same score: a NaN would rank as a group of
     its own, and a silently replaced score would change the report."""
     out: dict[str, float] = {}
-    with open(path, "r", encoding="utf-8") as fh:
+    with _open_text(path) as fh:
         for i, line in enumerate(fh, start=1):
             try:
                 rec, end = _scan_once(line, 0)
@@ -284,7 +302,7 @@ def read_edge_csv(path: PathLike,
     delim = _delimiter_for(path)
     records: list[tuple[str, str, int]] = []
     # utf-8-sig drops the byte-order mark that spreadsheet exports begin with
-    with open(path, "r", encoding="utf-8-sig", newline="") as fh:
+    with _open_text(path, "utf-8-sig", newline="") as fh:
         reader = csv.reader(fh, delimiter=delim)
         try:
             header = next(reader)

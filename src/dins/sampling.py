@@ -13,6 +13,9 @@ sampled together: the one-batch functions are runs of one batch, and
 :func:`sample_batches` cuts a graph into runs of about ``RUN_EDGES``
 edges. Each batch keeps its own generator and its own order of draws,
 so a batch's samples do not depend on the run it was sampled in.
+Evaluation draws its replaced senders and receivers and its negative
+loops through the same :class:`_Run`, as a run of one batch: there is
+one implementation of each mechanism.
 
 A :class:`SampleSet` holds one batch's samples as columns: ``src``,
 ``dst``, ``t`` and a ``code`` into :data:`VOCABULARY`, from which the
@@ -369,39 +372,9 @@ def _redraw_nonedge(draw, index: HistoryIndex, n: int,
     return -1
 
 
-def _replacement_column(draws: _Replay, group: np.ndarray, index: HistoryIndex,
-                        n: int, src: np.ndarray, dst: np.ndarray, ts: np.ndarray,
-                        replace_dst: bool) -> np.ndarray:
-    """One replacement per row; -1 where the pool is empty or retries ran out.
-
-    Rows of ``group`` g (ascending) draw as batch g of ``draws``: first the
-    loop rows, which exclude one node, then the others, which exclude two,
-    each as one draw with its own bound, unfolded past the excluded ids
-    to stay uniform over the pool. Draws that form an edge are then
-    redrawn one by one, in row order.
-    """
-    same = src == dst
-    order = np.argsort(group * 2 + ~same, kind="stable")
-    n_groups = int(group[-1]) + 1 if group.size else 0
-    n_loops = np.bincount(group[same], minlength=n_groups)
-    counts = np.stack([n_loops * (n >= 2),
-                       (np.bincount(group, minlength=n_groups) - n_loops) * (n >= 3)], axis=1)
-    x = draws.ints(counts, np.broadcast_to(np.array([n - 1, n - 2]), counts.shape))
-    rows = order[np.where(same[order], n >= 2, n >= 3)]
-    x += x >= np.minimum(src[rows], dst[rows])
-    x += (x >= np.maximum(src[rows], dst[rows])) & ~same[rows]
-    r = np.full(src.size, -1, dtype=np.int64)
-    r[rows] = x
-    hit = index.occurred(*((src[rows], x) if replace_dst else (x, dst[rows])), ts[rows])
-    for i in np.sort(rows[hit]).tolist():
-        r[i] = _redraw_nonedge(draws.draw(int(group[i])), index, n,
-                               int(src[i]), int(dst[i]), int(ts[i]), replace_dst)
-    return r
-
-
-def _retry_loop_pick(idx: HistoryIndex, draw, before: int, t: int) -> int:
-    """Draw from the loopless pool before ``before`` while (r, r, t) is an edge."""
-    total = idx.loopless_count(before)
+def _retry_loop_pick(idx: HistoryIndex, draw, before: int, total: int, t: int) -> int:
+    """Draw from the loopless pool before ``before``, of ``total`` nodes, while
+    (r, r, t) is an edge."""
     for _ in range(RETRY_CAP):
         r = idx.loopless_pick(before, draw(0, total))
         if not idx.pair_occurred(r, r, t):
@@ -432,16 +405,20 @@ class _Run:
     Every batch draws exactly what it would draw alone, in the same
     order: sender draws and retries, receiver draws and retries, the
     temporal uniforms and retries, loop picks and retries. The work that
-    does not draw (membership
-    checks, window occupancy, distinct timestamps, enhancement) is done
-    once for the whole run with array operations. Batches must be
-    non-empty and sorted by bin, as :func:`dins.graph.batches` cuts them.
+    does not draw (membership checks, window occupancy, distinct
+    timestamps, enhancement) is done once for the whole run with array
+    operations. Batches must be non-empty and sorted by bin, as
+    :func:`dins.graph.batches` cuts them. Negatives are checked against
+    ``index``, the graph's own history unless given; evaluation draws its
+    replacements and loops as a one-batch run checked against the whole
+    split, whose edges need not be sorted for those two mechanisms.
     """
 
     def __init__(self, graph: DynamicGraph, draws: _Replay, src: np.ndarray,
-                 dst: np.ndarray, t: np.ndarray, sizes, indices: list[int]):
+                 dst: np.ndarray, t: np.ndarray, sizes, indices: list[int],
+                 index: HistoryIndex | None = None):
         self.graph = graph
-        self.idx = graph.history
+        self.idx = graph.history if index is None else index
         self.draws = draws
         self.indices = indices
         self.sizes = np.asarray(sizes, dtype=np.int64)
@@ -455,6 +432,30 @@ class _Run:
     def rows(self) -> np.ndarray:
         """The index row of each edge's pair, resolved once per run."""
         return self.idx.pair_rows(self.src, self.dst)
+
+    def replacements(self, replace_dst: bool) -> np.ndarray:
+        """A replaced receiver (or sender) per edge, -1 where none was found.
+
+        Each batch draws for its loop edges, which exclude one node, then for
+        the others, which exclude two, unfolded past the excluded ids to stay
+        uniform; draws that form an edge are redrawn one by one, in edge order.
+        """
+        src, dst, ts, bid, n = self.src, self.dst, self.t, self.bid, self.graph.n
+        same = src == dst
+        order = np.argsort(bid * 2 + ~same, kind="stable")
+        n_loops = np.bincount(bid[same], minlength=self.sizes.size)
+        counts = np.stack([n_loops * (n >= 2), (self.sizes - n_loops) * (n >= 3)], axis=1)
+        x = self.draws.ints(counts, np.broadcast_to(np.array([n - 1, n - 2]), counts.shape))
+        rows = order[np.where(same[order], n >= 2, n >= 3)]
+        x += x >= np.minimum(src[rows], dst[rows])
+        x += (x >= np.maximum(src[rows], dst[rows])) & ~same[rows]
+        r = np.full(src.size, -1, dtype=np.int64)
+        r[rows] = x
+        hit = self.idx.occurred(*((src[rows], x) if replace_dst else (x, dst[rows])), ts[rows])
+        for i in np.sort(rows[hit]).tolist():
+            r[i] = _redraw_nonedge(self.draws.draw(int(bid[i])), self.idx, n,
+                                   int(src[i]), int(dst[i]), int(ts[i]), replace_dst)
+        return r
 
     def temporal(self, q: int, t_f: int) -> tuple[np.ndarray, ...]:
         """Up to q distinct free bins in [t, min(t + t_f, batch max)] per edge.
@@ -589,20 +590,12 @@ class _Run:
         new[1:] = (t[1:] != t[:-1]) | (bid[1:] != bid[:-1])
         ts, tb = t[new], bid[new]
         n_ts = np.bincount(tb, minlength=self.sizes.size)
-        nodes = np.full(ts.size, -1, dtype=np.int64)
         if pool_mode == "batch":
             # one pool per batch: nodes without a loop before its first bin
-            totals = idx.loopless_counts(self.t_min)
-            ranks = self.draws.ints((n_ts * (totals > 0))[:, None], totals[:, None])
-            rows = np.flatnonzero(totals[tb] > 0)
-            nodes[rows] = idx.loopless_picks(self.t_min[tb[rows]], ranks)
-            hit = idx.occurred(nodes[rows], nodes[rows], ts[rows])
-            for j in rows[hit].tolist():
-                b = int(tb[j])
-                nodes[j] = _retry_loop_pick(idx, self.draws.draw(b), int(self.t_min[b]),
-                                            int(ts[j]))
+            nodes = self.loop_picks(tb, self.t_min, ts)
         else:
             # the pool shrinks before each bin, so draw bin by bin
+            nodes = np.full(ts.size, -1, dtype=np.int64)
             totals = idx.loopless_counts(ts)
             for j, (b, tj, total) in enumerate(zip(tb.tolist(), ts.tolist(),
                                                    totals.tolist())):
@@ -610,12 +603,30 @@ class _Run:
                     draw = self.draws.draw(b)
                     r = idx.loopless_pick(tj, draw(0, total))
                     if idx.pair_occurred(r, r, tj):
-                        r = _retry_loop_pick(idx, draw, tj, tj)
+                        r = _retry_loop_pick(idx, draw, tj, total, tj)
                     nodes[j] = r
         ok = nodes >= 0
         tb = tb[ok]
         short = n_ts - np.bincount(tb, minlength=n_ts.size)
         return tb, _rank_in_group(tb), nodes[ok], ts[ok], short
+
+    def loop_picks(self, group: np.ndarray, before: np.ndarray, ts: np.ndarray) -> np.ndarray:
+        """A self-loop node per row, -1 where none was found, drawn as batch
+        ``group[i]`` (ascending) from the nodes with no loop strictly before
+        its ``before``: all picks at once, then redraws, in row order, of
+        those whose loop occurs at the row's bin ``ts``."""
+        idx = self.idx
+        totals = idx.loopless_counts(before)
+        n_picks = np.bincount(group, minlength=before.size) * (totals > 0)
+        ranks = self.draws.ints(n_picks[:, None], totals[:, None])
+        nodes = np.full(ts.size, -1, dtype=np.int64)
+        rows = np.flatnonzero(totals[group] > 0)
+        nodes[rows] = idx.loopless_picks(before[group[rows]], ranks)
+        for j in rows[idx.occurred(nodes[rows], nodes[rows], ts[rows])].tolist():
+            b = int(group[j])
+            nodes[j] = _retry_loop_pick(idx, self.draws.draw(b), int(before[b]),
+                                        int(totals[b]), int(ts[j]))
+        return nodes
 
     def enhancement(self, k: int) -> tuple[np.ndarray, ...]:
         """Per batch, the earliest k later edges whose pair occurs in the batch.
@@ -668,15 +679,14 @@ def _sample_run(run: _Run, config: SamplerConfig, strategy: str, pool_mode: str 
     src, dst, t, bid = run.src, run.dst, run.t, run.bid
     lead = np.zeros(n_edges, dtype=np.int64)     # samples before an edge's temporals
     skips = []                                   # (tally, emitted per edge)
-    replace = partial(_replacement_column, run.draws, bid, run.idx, run.graph.n, src, dst, t)
     senders = receivers = None
     if "sender" in mech:
-        senders = replace(False)
+        senders = run.replacements(False)
         s_ok = senders >= 0
         lead += s_ok
         skips.append(("sender_skipped", s_ok))
     if "receiver" in mech:
-        receivers = replace(True)
+        receivers = run.replacements(True)
         r_ok = receivers >= 0
         skips.append(("skipped" if strategy == "random" else "receiver_skipped", r_ok))
     per_edge = lead + (r_ok if receivers is not None else 0)

@@ -57,12 +57,22 @@ def monthly_schedule(graph: DynamicGraph,
     """UTC calendar-month windows covering the graph's raw-time span.
 
     When ``custom_windows`` is given it replaces the monthly schedule
-    entirely; windows must be chronological and non-overlapping.
+    entirely; windows must be chronological and non-overlapping, and
+    their labels distinct names of one directory each, since a split
+    writes to ``splits/<label>/``.
     """
     if custom_windows is not None:
         ws = list(custom_windows)
         if not ws:
             raise ValueError("custom window list is empty")
+        seen: set[str] = set()
+        for w in ws:
+            if w.label in ("", ".", "..") or any(c in w.label for c in "/\\\0"):
+                raise ValueError(f"window {w.label!r}: a label must name one directory: "
+                                 "not empty, '.' or '..', and without a path separator")
+            if w.label in seen:
+                raise ValueError(f"window {w.label!r}: labels must not repeat")
+            seen.add(w.label)
         for a, b in zip(ws, ws[1:]):
             if b.start < a.end:
                 raise ValueError(f"windows overlap or are out of order: "

@@ -483,6 +483,38 @@ def test_samples_jsonl_names_the_line_of_an_integer_with_too_many_digits(tmp_pat
         read_samples_jsonl(path)
 
 
+def test_readers_name_the_line_that_is_not_utf8(months_csv, tmp_path, monkeypatch):
+    # a bare UnicodeDecodeError named a byte offset into a decoded chunk, not a line
+    sample = b'{"src": 0, "dst": 1, "t": 2, "label": "neg", "category": "loop", "batch": 0}\n'
+    samples = tmp_path / "s.jsonl"
+    samples.write_bytes(sample * 3000 + sample.replace(b"neg", b"n\xffg") + sample)
+    code, out, err = run_cli("score", "--scorer", "constant", "--samples", str(samples),
+                             "--out", str(tmp_path / "scores.jsonl"))
+    assert (code, out) == (1, "")
+    assert json.loads(err) == {"error": "IngestError",
+                               "message": f"{samples}: line 3001: not UTF-8 (invalid start byte)"}
+    assert not (tmp_path / "scores.jsonl").exists()
+
+    cli_json("split", str(months_csv), "--out-dir", str(tmp_path / "splits"))
+    scores = tmp_path / "scores.jsonl"
+    scores.write_bytes(b'{"key": "a", "score": 0.5}\n{"key": "\xe2\x82", "score": 1}\n')
+    code, out, err = run_cli("evaluate", "--split-dir", str(tmp_path / "splits" / "2021-01"),
+                             "--scores", str(scores))
+    assert (code, out) == (1, "")
+    assert json.loads(err)["message"] == (f"{scores}: line 2: not UTF-8 "
+                                          "(invalid continuation byte)")
+
+    edges = tmp_path / "latin1.csv"
+    n_lines = len(months_csv.read_bytes().splitlines())
+    edges.write_bytes(months_csv.read_bytes() + b"carol,d\xe9j\xe0,1609459300\n")
+    monkeypatch.setenv("DINS_CACHE_DIR", str(tmp_path / "cache"))
+    code, out, err = run_cli("ingest", str(edges))
+    assert (code, out) == (1, "")
+    assert json.loads(err)["message"] == (f"{edges}: line {n_lines + 1}: not UTF-8 "
+                                          "(invalid continuation byte)")
+    assert not (tmp_path / "cache").exists()
+
+
 def test_graph_npz_roundtrip(tmp_path):
     g = build_graph([("a", "b", 17), ("b", "b", 451), ("c", "a", 1000)],
                     bin_width_seconds=60)
@@ -821,6 +853,29 @@ def test_run_rejects_val_fraction_one(months_csv, tmp_path):
     assert json.loads(err)["message"] == "val_fraction must be in [0, 1)"
     assert not (tmp_path / "run").exists()
     assert PipelineConfig(dataset="x", val_fraction=0.0).val_fraction == 0.0
+
+
+@pytest.mark.parametrize("labels, message", [
+    (["x", "x", "y"], "window 'x': labels must not repeat"),
+    (["a", "", "b"], "window '': a label must name one directory"),
+    (["a", ".", "b"], "window '.': a label must name one directory"),
+    (["..", "a", "b"], "window '..': a label must name one directory"),
+    (["a", "b/c", "d"], "window 'b/c': a label must name one directory"),
+    (["a", "b", "c\\d"], "window 'c\\\\d': a label must name one directory"),
+])
+def test_run_rejects_window_labels_that_are_not_one_directory(months_csv, tmp_path,
+                                                              labels, message):
+    # two windows labelled x reported n_splits 2 and left one splits/x/;
+    # the others wrote outside splits/<label>/
+    windows = tmp_path / "windows.json"
+    bounds = ["2021-01-01", "2021-01-11", "2021-01-21", "2021-02-01"]
+    windows.write_text(json.dumps([{"label": label, "start": lo, "end": hi}
+                                   for label, lo, hi in zip(labels, bounds, bounds[1:])]))
+    code, out, err = run_cli("run", str(months_csv), "--out-dir", str(tmp_path / "run"),
+                             "--windows", str(windows))
+    assert (code, out) == (1, "")
+    assert json.loads(err)["message"].startswith(message)
+    assert not (tmp_path / "run").exists()
 
 
 @pytest.mark.parametrize("jobs", ["0", "-3"])

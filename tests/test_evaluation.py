@@ -7,19 +7,22 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from dins import (EVAL_NEGATIVE_CATEGORIES, H_OFFSETS, EvalReport,
                   MissingScoresError, UndefinedMetricError, auc,
                   build_eval_set, build_eval_sets, build_graph, combined_index,
                   derive_rng, evaluate_sets, make_split, monthly_schedule,
                   sample_key)
+from dins.config import SamplerConfig
 from dins.evaluation import eval_records, positives_of
-from dins.graph import EdgeBlock
-from dins.sampling import NEG, POS
+from dins.graph import EdgeBlock, batches
+from dins.sampling import NEG, POS, sample_negative_loops
 from dins.split import window_pairs
 from dins.synthetic import multi_month_records
 
-from conftest import brute_auc, triple_set
+from conftest import brute_auc, graphs, triple_set
 
 W = 300
 
@@ -169,6 +172,25 @@ def test_loop_eval_modes():
     a = g.registry.id_of("a")
     for ss in (per_pos, per_ts):
         assert all(s.src != a for s in ss.samples)
+
+
+@given(graphs(max_nodes=8, max_edges=40, max_bins=12), st.integers(1, 40),
+       st.integers(0, 2**32 - 1))
+@settings(max_examples=60, deadline=None)
+def test_per_timestamp_eval_loops_are_the_samplers_batch_pool_loops(graph, k, seed):
+    # both draw through _Run.loop_picks: over the graph's own history and on
+    # one seed, a batch's eval loops are its batch-pool training loops
+    assume((graph.src == graph.dst).any())
+    for batch in batches(graph, k):
+        ev_rng, loop_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        ev = build_eval_set(EdgeBlock(batch.src, batch.dst, batch.t, batch.t), graph,
+                            graph.history, "loop", ev_rng, loop_eval="per-timestamp")
+        ss = sample_negative_loops(batch, graph, SamplerConfig(k=k, seed=seed), loop_rng,
+                                   pool_mode="batch")
+        for col in ("src", "dst", "t"):
+            assert getattr(ev, col).tolist() == getattr(ss, col).tolist()
+        assert ev.tallies.get("shortfall", 0) == ss.tallies.get("loop_shortfall", 0)
+        assert ev_rng.bit_generator.state == loop_rng.bit_generator.state
 
 
 def test_eval_sets_are_seed_deterministic():

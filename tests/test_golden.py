@@ -12,7 +12,10 @@ dins sample file is pinned for all four built-in scorers; those digests
 were taken while scorers still scored one sample at a time. ``dins
 evaluate --export`` on the golden data's first split is pinned too; its
 digest was taken while the export still went through ``json.dumps``, and
-equals the run's ``eval_samples.jsonl`` for that split.
+equals the run's ``eval_samples.jsonl`` for that split. A second, smaller
+``dins run`` pins the paths off every default: per-t loop pools,
+per-timestamp evaluation loops, a custom windows file, dropped users and
+a dropped sparse month, and 10-minute bins.
 """
 
 from __future__ import annotations
@@ -20,6 +23,7 @@ from __future__ import annotations
 import csv
 import hashlib
 import io
+import json
 from contextlib import redirect_stdout
 from pathlib import Path
 
@@ -214,6 +218,93 @@ def test_score_command_digests(golden_samples, tmp_path, scorer):
 
 
 EXPORT_GOLDEN = "d28065bb704134df2b7cd651b60c7ea8d3f58b26cf95009bb5ef5927ace75203"
+
+
+# A run off every default path: per-t loop pools, per-timestamp eval loops, a
+# custom windows file, a dropped sparse month and dropped users, 10-minute bins.
+# The digests were taken before evaluation drew its loops through the sampler.
+OPTIONS_GOLDEN = {
+    "config.json":
+        "6d283966fbcab508c0683bdf185c14817f2ac7cd5ab8ced420253c8c3b03a7f8",
+    "splits/jan-a/eval_samples.jsonl":
+        "d7a5e880f610285583b21b579b3f62ca63cf87be7b8b7607f235960ae0f06b23",
+    "splits/jan-a/report_dins.json":
+        "fdd6b526705444d52f00661bcdc3368c0e2853251ec81502fa6f0f903762df57",
+    "splits/jan-a/report_loops.json":
+        "90032483541fb7b733a1e77901cf31a0df5a4b906d9b655daf995dba5cc9390c",
+    "splits/jan-a/report_random.json":
+        "c233a9ebebae062386c33864982840f597eadce3735cc1c748f2c2f5d3e15611",
+    "splits/jan-a/samples_dins.jsonl":
+        "eb605274b38175d64ce0a3a64fcf5e0c4bfb828ad8219bdc452a3b4e44432766",
+    "splits/jan-a/samples_loops.jsonl":
+        "c09071d8bbeb1b9ae4f1960037f162e3d9e93d47c627df1be99e5321f5dd8a66",
+    "splits/jan-a/samples_random.jsonl":
+        "73aa282f707eab623c6be4daacab93de1101bc6d2a44985a567aaf6bcda8dfe9",
+    "splits/jan-a/split_meta.json":
+        "009b1bebf7f63a44245a3620a62c41e9ed39ac1bfdb8788362bacb6400fe4e9d",
+    "splits/jan-a/test.csv":
+        "532a74b6b5ae5a78f6cd891633feab607779cf5583e454d5039f5dceb8c6ee94",
+    "splits/jan-a/train.csv":
+        "be29ae8ed08a409dda74177f9f8f4fbfe2a209b03b2a1d31e76fc5827609f9c6",
+    "splits/jan-a/val.csv":
+        "581bfcfd6b87a83dfe310c9bdd114ef906d07d41220b830882ac959ad96ea473",
+    "splits/jan-b/eval_samples.jsonl":
+        "47a6ef993e708d0078b70d044d49f7e177476a14ed60b7cb09e6e22a176d672e",
+    "splits/jan-b/report_dins.json":
+        "7f50d0cf87d6d2d6b496acdac5e89f492cec217f9bab19a6d016da0c2acda103",
+    "splits/jan-b/report_loops.json":
+        "81f9252f6e7dd8211730b532464d5aec7383f16efc7fa3cfd10387514e036dbd",
+    "splits/jan-b/report_random.json":
+        "a9c45640863df85ccf65767a6bf892b68edd524b1114f7ca43c1aec10313b4c6",
+    "splits/jan-b/samples_dins.jsonl":
+        "b405f50b811f06d97cac56b14c99f14b0d930d5798f44c03090e8b0e4262af95",
+    "splits/jan-b/samples_loops.jsonl":
+        "87e63bcaab419a33e6f1da14c23b97ede7972eb0e9e53d31e89246dff1563eb7",
+    "splits/jan-b/samples_random.jsonl":
+        "fdd6c7eae4b365afa74acf75b3b5f0daeeb251456f50ce7d95fc3c2cd6f3a398",
+    "splits/jan-b/split_meta.json":
+        "93c68e022b5ba5957ea1f2114b6c0c9bcca8f4bb70a38b19e76409196ea2bf75",
+    "splits/jan-b/test.csv":
+        "291e32a3c1e253ed9d3febfe12edf7720ed17fe8f52e97b06890656ba149659a",
+    "splits/jan-b/train.csv":
+        "aca11817f7de868f8b9f2956c18b9d823b996ce5a6153bb38489ab6fb57727bb",
+    "splits/jan-b/val.csv":
+        "44b3614eba834258ff36ac4bafa5b6c474c38ed4bbae7d3603774e59f875e589",
+    "summary.json":
+        "98448a3e89128c9af99367b648a3781abc26938851d6e20a64c37bbf13c13054",
+}
+
+APRIL_2021 = 1617235200
+
+
+def options_run_digests(workdir: Path) -> dict[str, str]:
+    """sha256 of every file a ``dins run`` with non-default options writes."""
+    records = multi_month_records(80, 600, 2, seed=3)
+    records += [("user1", "user2", APRIL_2021 + 3600 * i) for i in range(5)]
+    with open(workdir / "options.csv", "w", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(["src", "dst", "timestamp"])
+        w.writerows(records)
+    (workdir / "drop.txt").write_text("user7\nuser8\n")
+    (workdir / "windows.json").write_text(json.dumps({"windows": [
+        {"label": "jan-a", "start": "2021-01-01", "end": "2021-01-16"},
+        {"label": "jan-b", "start": "2021-01-16", "end": 1612137600},
+        {"label": "feb", "start": "2021-02-01", "end": "2021-05-01"}]}))
+    with redirect_stdout(io.StringIO()):
+        code = main(["run", "options.csv", "--out-dir", "run", "--strategies",
+                     "dins,loops,random", "--batch-size", "100", "--q", "2", "--tf", "72",
+                     "--seed", "9", "--loop-pool", "per-t", "--loop-eval", "per-timestamp",
+                     "--windows", "windows.json", "--min-month-edges", "20",
+                     "--drop-users", "drop.txt", "--bin-width", "600", "--scorer", "recency"])
+    assert code == 0
+    out = workdir / "run"
+    return {p.relative_to(out).as_posix(): hashlib.sha256(p.read_bytes()).hexdigest()
+            for p in sorted(out.rglob("*")) if p.is_file()}
+
+
+def test_options_run_digests(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)         # config.json records the relative paths
+    assert options_run_digests(tmp_path) == OPTIONS_GOLDEN
 
 
 def test_evaluate_export_digest(tmp_path):
