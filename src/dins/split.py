@@ -21,7 +21,6 @@ dataset.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from typing import Iterable, Optional, Sequence
@@ -156,7 +155,7 @@ def make_split(graph: DynamicGraph, train_window: WindowSpec,
 
 def _parse_boundary(value) -> int:
     """Window boundary: epoch seconds, or an ISO date taken as UTC midnight."""
-    if isinstance(value, (int, np.integer)):
+    if isinstance(value, (int, np.integer)) and not isinstance(value, bool):
         return int(value)
     if isinstance(value, str):
         try:
@@ -172,23 +171,30 @@ def load_windows_file(path) -> list[WindowSpec]:
     """Read a custom window schedule from JSON.
 
     Accepts either a bare list or ``{"windows": [...]}``; each entry is
-    ``{"label", "start", "end"}`` with boundaries in epoch seconds or
-    ``YYYY-MM-DD`` (UTC midnight, end exclusive).
+    ``{"label", "start", "end"}`` with a string label and boundaries in
+    epoch seconds or ``YYYY-MM-DD`` (UTC midnight, end exclusive). An
+    entry of any other shape raises ``ValueError`` naming its index.
     """
-    with open(path, "r", encoding="utf-8") as fh:
-        payload = json.load(fh)
+    from .sample_io import read_json    # sample_io imports this module
+    payload = read_json(path)
     if isinstance(payload, dict):
         payload = payload.get("windows")
     if not isinstance(payload, list) or not payload:
         raise ValueError(f"{path}: expected a non-empty list of windows")
     out = []
     for i, w in enumerate(payload):
+        where = f"{path}: window {i}"
+        if not isinstance(w, dict):
+            raise ValueError(f"{where} is not an object")
         try:
-            out.append(WindowSpec(label=str(w["label"]),
-                                  start=_parse_boundary(w["start"]),
-                                  end=_parse_boundary(w["end"])))
+            label, start, end = w["label"], _parse_boundary(w["start"]), _parse_boundary(w["end"])
         except KeyError as exc:
-            raise ValueError(f"{path}: window {i} is missing {exc}") from None
+            raise ValueError(f"{where} is missing {exc}") from None
+        except ValueError as exc:
+            raise ValueError(f"{where}: {exc}") from None
+        if not isinstance(label, str):
+            raise ValueError(f"{where}: label must be a string, not {label!r}")
+        out.append(WindowSpec(label, start, end))
     return out
 
 

@@ -878,6 +878,40 @@ def test_run_rejects_window_labels_that_are_not_one_directory(months_csv, tmp_pa
     assert not (tmp_path / "run").exists()
 
 
+@pytest.mark.parametrize("entry, message", [
+    ({"label": None, "start": "2021-01-11", "end": "2021-01-21"},
+     "window 1: label must be a string, not None"),
+    ({"label": "b", "start": True, "end": "2021-01-21"},
+     "window 1: bad window boundary True"),
+    (["b", "2021-01-11", "2021-01-21"], "window 1 is not an object"),
+])
+def test_run_rejects_window_entries_of_the_wrong_shape(months_csv, tmp_path, entry, message):
+    # a null label ran as splits/None/, a true start as epoch second 1, and a
+    # list entry raised a bare TypeError
+    windows = tmp_path / "windows.json"
+    windows.write_text(json.dumps([{"label": "a", "start": "2021-01-01", "end": "2021-01-11"},
+                                   entry,
+                                   {"label": "c", "start": "2021-01-21", "end": "2021-02-01"}]))
+    code, out, err = run_cli("run", str(months_csv), "--out-dir", str(tmp_path / "run"),
+                             "--windows", str(windows))
+    assert (code, out) == (1, "")
+    assert json.loads(err) == {"error": "ValueError", "message": f"{windows}: {message}"}
+    assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize("flag", ["--config", "--drop-users", "--windows"])
+def test_run_names_the_line_of_a_setting_file_that_is_not_utf8(months_csv, tmp_path, flag):
+    # each raised a bare UnicodeDecodeError that named no line
+    path = tmp_path / "latin1.txt"
+    path.write_bytes(b"# users\nalice\nd\xe9j\xe0\n")
+    args = ["--config", str(path)] if flag == "--config" else [str(months_csv), flag, str(path)]
+    code, out, err = run_cli("run", *args, "--out-dir", str(tmp_path / "run"))
+    assert (code, out) == (1, "")
+    assert json.loads(err) == {"error": "IngestError", "message": f"{path}: line 3: not UTF-8 "
+                                                                  "(invalid continuation byte)"}
+    assert not (tmp_path / "run").exists()
+
+
 @pytest.mark.parametrize("jobs", ["0", "-3"])
 def test_run_rejects_jobs_below_one(months_csv, tmp_path, jobs):
     # they ran serially as if --jobs 1 had been given

@@ -714,6 +714,18 @@ def test_budgeted_passes_keep_the_stream(pin_suite, monkeypatch):
     assert stream_digest(pin_suite, "dins", cfg) == PINNED_DINS[(100, "batch")]
 
 
+@pytest.mark.parametrize("run_edges", [1, 37])
+def test_run_size_keeps_the_stream(pin_suite, monkeypatch, run_edges):
+    # every pinned graph fits one run of RUN_EDGES; smaller runs cut them
+    # into runs of one batch and, at k=10 and 37 edges, of three batches
+    monkeypatch.setattr(sampling, "RUN_EDGES", run_edges)
+    for k in (10, 100):
+        cfg = SamplerConfig(k=k, q=5, seed=1)
+        assert stream_digest(pin_suite, "dins", cfg) == PINNED_DINS[(k, "batch")]
+    cfg = SamplerConfig(k=100, q=5, seed=2)
+    assert stream_digest(pin_suite, "dins", cfg) == PINNED_STRATEGIES["dins"]
+
+
 PINNED_STRATEGIES = {
     "dins": "ee6a0eca9c9ea0a50d26628dd58cf7d4159774f060ec74504bc357d273bf9dbb",
     "historical": "8aa26c6fcae4c01dd4f81c9bcd57bd68edf1940839d4922bb6ddbf9a6f1167e6",
