@@ -9,8 +9,8 @@ sorted bins for graphs and split blocks alike, and :func:`utc` turns
 them into UTC months or days for the calendar splits and the stats.
 :class:`HistoryIndex` layers the occurrence lookups that samplers and
 scorers need (pair-at-time membership, prior-pair enumeration, loop
-history) on top of sorted columnar arrays. Both structures are
-immutable once built and safe to share across threads.
+history) on top of sorted columnar arrays. Both are safe to share across
+threads; neither changes its answers once built.
 """
 
 from __future__ import annotations
@@ -298,9 +298,10 @@ class HistoryIndex:
     a binary search inside that row's block; there is no joint
     (pair, bin) key, so any int64 bin is answered exactly. Callers that
     ask several questions about the same pairs resolve the rows once
-    with :meth:`pair_rows` and pass them in. Prior-pair and loop history
-    are kept ordered by first occurrence, so "strictly before t" queries
-    reduce to a binary search plus a prefix length.
+    with :meth:`pair_rows` and pass them in. Loop history is kept ordered
+    by first loop, and the pairs' first-occurrence order is built on its
+    first query (concurrent first queries may both build it, alike), so
+    "strictly before t" queries reduce to a binary search plus a prefix length.
     """
 
     def __init__(self, src, dst, t, n_nodes: int):
@@ -318,26 +319,21 @@ class HistoryIndex:
         order = np.lexsort((t, key))
         keys_sorted = key[order]
         self._ts_by_pair = np.ascontiguousarray(t[order])
-        self._pair_keys, starts = np.unique(keys_sorted, return_index=True)
-        self._offsets = np.empty(self._pair_keys.size + 1, dtype=np.int64)
-        self._offsets[:-1] = starts
-        self._offsets[-1] = keys_sorted.size
+        # a pair's block starts wherever the sorted key changes
+        cut = np.ones(keys_sorted.size + 1, dtype=bool)
+        np.not_equal(keys_sorted[1:], keys_sorted[:-1], out=cut[1:-1])
+        self._offsets = np.flatnonzero(cut)
+        self._pair_keys = keys_sorted[self._offsets[:-1]]
         # Edge positions in the same pair-major order as _ts_by_pair;
         # edges are sorted by bin, so positions ascend within each pair.
         self._edge_by_pair = order
-
-        # Distinct pairs ordered by first occurrence.
-        first_t = (self._ts_by_pair[self._offsets[:-1]]
-                   if self._pair_keys.size else _EMPTY_I64)
-        ford = np.argsort(first_t, kind="stable")
-        self._pair_first_t = first_t[ford]
-        self._pair_by_first = self._pair_keys[ford]
+        self._prior = None      # see _prior_order
 
         # Loop history: key == u*(n+1) exactly when src == dst == u.
         if self.n_nodes:
             loop_rows = np.flatnonzero(self._pair_keys % (n + 1) == 0)
             loop_nodes = self._pair_keys[loop_rows] // (n + 1)
-            loop_first = first_t[loop_rows]
+            loop_first = self._ts_by_pair[self._offsets[loop_rows]]
             lord = np.argsort(loop_first, kind="stable")
             self._loop_first_t = loop_first[lord]
             self._loop_nodes_by_first = loop_nodes[lord]
@@ -471,14 +467,24 @@ class HistoryIndex:
 
     # -- prior pairs (for the historical baseline) ----------------------
 
+    def _prior_order(self) -> tuple[np.ndarray, np.ndarray]:
+        """The distinct pairs' ``(first bins, keys)`` by first occurrence, built
+        on the first call. Not a cached_property: on CPython 3.11 its write
+        through ``__dict__`` slows every later attribute load on the index."""
+        if self._prior is None:
+            first_t = self._ts_by_pair[self._offsets[:-1]]
+            ford = np.argsort(first_t, kind="stable")
+            self._prior = first_t[ford], self._pair_keys[ford]
+        return self._prior
+
     def prior_pair_counts(self, ts) -> np.ndarray:
         """Number of distinct directed pairs first seen strictly before each ``ts[i]``."""
-        return np.searchsorted(self._pair_first_t, np.asarray(ts, dtype=np.int64),
+        return np.searchsorted(self._prior_order()[0], np.asarray(ts, dtype=np.int64),
                                side="left")
 
     def prior_pair(self, rank: int) -> tuple[int, int]:
         """The ``rank``-th distinct pair in order of first occurrence."""
-        key = int(self._pair_by_first[rank])
+        key = int(self._prior_order()[1][rank])
         return key // self._enc_n, key % self._enc_n
 
     # -- loop history ----------------------------------------------------

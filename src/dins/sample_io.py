@@ -93,14 +93,14 @@ def _open_text(path: PathLike, encoding: str = "utf-8", newline: str | None = No
 
 
 def read_json(path: PathLike):
-    with _open_text(path) as fh:
+    with _open_text(path, "utf-8-sig") as fh:
         return json.load(fh)
 
 
 def read_name_list(path: PathLike) -> list[str]:
     """One node name per line; blank lines and ``#`` comments are skipped."""
     out = []
-    with _open_text(path) as fh:
+    with _open_text(path, "utf-8-sig") as fh:
         for line in fh:
             name = line.strip()
             if name and not name.startswith("#"):

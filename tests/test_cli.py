@@ -912,6 +912,29 @@ def test_run_names_the_line_of_a_setting_file_that_is_not_utf8(months_csv, tmp_p
     assert not (tmp_path / "run").exists()
 
 
+@pytest.mark.parametrize("flag", ["--config", "--drop-users", "--windows"])
+def test_run_reads_setting_files_that_begin_with_a_byte_order_mark(months_csv, tmp_path, flag):
+    # a BOM'd drop list kept its first user (read as '\ufeffuser2'), and a
+    # BOM'd config or windows file raised JSONDecodeError: Unexpected UTF-8 BOM
+    text = {"--config": json.dumps({"dataset": str(months_csv), "batch_size": 64}),
+            "--drop-users": "user2\n# only the first line names a user\n",
+            "--windows": json.dumps([{"label": "a", "start": "2021-01-01", "end": "2021-01-16"},
+                                     {"label": "b", "start": "2021-01-16", "end": "2021-02-01"}])}
+    splits = {}
+    for name, encoding in (("plain", "utf-8"), ("bom", "utf-8-sig")):
+        path = tmp_path / f"{name}.txt"
+        path.write_text(text[flag], encoding=encoding)
+        args = ["--config", str(path)] if flag == "--config" else [str(months_csv), flag, str(path)]
+        out_dir = tmp_path / name
+        assert set(cli_json("run", *args, "--out-dir", str(out_dir))["statuses"].values()) == {"ok"}
+        splits[name] = {str(p.relative_to(out_dir)): p.read_bytes()
+                        for p in (out_dir / "splits").rglob("*") if p.is_file()}
+    assert splits["bom"] == splits["plain"]
+    if flag == "--drop-users":
+        assert not any(b"user2," in data for data in splits["bom"].values())
+    assert ("splits/a/split_meta.json" in splits["bom"]) == (flag == "--windows")
+
+
 @pytest.mark.parametrize("jobs", ["0", "-3"])
 def test_run_rejects_jobs_below_one(months_csv, tmp_path, jobs):
     # they ran serially as if --jobs 1 had been given

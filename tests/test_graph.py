@@ -7,10 +7,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dins import (DynamicGraph, IngestError, NodeRegistry, batches,
-                  build_graph, stats, subgraph)
+from dins import (DynamicGraph, IngestError, NodeRegistry, SamplerConfig, batches,
+                  build_graph, sample_batches, stats, subgraph)
 from dins.config import derive_rng
 from dins.graph import HistoryIndex
+from dins.synthetic import random_records
 
 from conftest import (first_seen_map, graphs, loop_first_map, pair_times_map,
                       record_lists, triple_set)
@@ -255,6 +256,31 @@ def test_history_index_prior_counts_vectorized(tiny_graph):
     got = idx.prior_pair_counts(ts)
     want = np.array([idx.prior_pair_counts([t])[0] for t in ts])
     assert np.array_equal(got, want)
+
+
+def test_history_index_builds_the_prior_pair_order_only_when_asked():
+    g = build_graph(random_records(80, 3000, seed=5, t_span_bins=40, loop_fraction=0.02))
+    idx = g.history
+    for _ in sample_batches(g, "dins", SamplerConfig(k=100, seed=0)):
+        pass
+
+    def index_bytes():    # the arrays held directly or in a cached tuple
+        held = [a for v in vars(idx).values() for a in (v if isinstance(v, tuple) else (v,))]
+        return sum(a.nbytes for a in held if isinstance(a, np.ndarray))
+
+    firsts = first_seen_map(g)
+    n_pairs, n_loopers = len(firsts), len(loop_first_map(g))
+    assert 0 < n_loopers < g.n and n_pairs < g.m
+    # pair keys, block offsets, bins and edge positions; loop first bins and
+    # nodes, and the never-looped nodes
+    lean = 8 * ((n_pairs + n_pairs + 1 + g.m + g.m) + (2 * n_loopers + g.n - n_loopers))
+    assert index_bytes() == lean
+    ts = np.arange(-1, g.t_max + 3)
+    assert idx.prior_pair_counts(ts).tolist() == [
+        sum(f < t for f in firsts.values()) for t in ts.tolist()]
+    assert index_bytes() == lean + 16 * n_pairs
+    by_first = sorted(firsts, key=lambda p: (firsts[p], p))
+    assert [idx.prior_pair(r) for r in range(n_pairs)] == by_first
 
 
 def test_history_index_huge_ids_and_bins():
