@@ -15,7 +15,6 @@ threads; neither changes its answers once built.
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Optional
@@ -301,7 +300,8 @@ class HistoryIndex:
     with :meth:`pair_rows` and pass them in. Loop history is kept ordered
     by first loop, and the pairs' first-occurrence order is built on its
     first query (concurrent first queries may both build it, alike), so
-    "strictly before t" queries reduce to a binary search plus a prefix length.
+    "strictly before t" queries reduce to a binary search plus a prefix
+    length. Every query takes arrays and answers them all at once.
     """
 
     def __init__(self, src, dst, t, n_nodes: int):
@@ -346,17 +346,6 @@ class HistoryIndex:
             self._never_looped = _EMPTY_I64
 
     # -- pair occurrence ------------------------------------------------
-
-    def _pair_row(self, u: int, v: int) -> int:
-        """Scalar :meth:`pair_rows`."""
-        n = self.n_nodes
-        if 0 <= u < n and 0 <= v < n:
-            key = u * n + v
-            keys = self._pair_keys
-            i = keys.searchsorted(key)
-            if i < keys.size and keys[i] == key:
-                return i
-        return -1
 
     def pair_rows(self, us, vs) -> np.ndarray:
         """Row of each directed pair (us[i], vs[i]); -1 where it never occurs
@@ -437,16 +426,6 @@ class HistoryIndex:
             stops[sel] = self._search(first, end, np.asarray(his, dtype=np.int64)[sel], True)
         return starts, stops
 
-    def pair_occurred(self, u: int, v: int, t: int) -> bool:
-        """True iff the directed edge (u, v, t) is in the multiset."""
-        i = self._pair_row(u, v)
-        if i < 0:
-            return False
-        hi = self._offsets[i + 1]
-        ts = self._ts_by_pair
-        j = bisect_left(ts, t, self._offsets[i], hi)
-        return j < hi and ts[j] == t
-
     def occurred(self, us, vs, ts, rows=None) -> np.ndarray:
         """True where the directed edge (us[i], vs[i], ts[i]) is in the multiset.
 
@@ -482,10 +461,9 @@ class HistoryIndex:
         return np.searchsorted(self._prior_order()[0], np.asarray(ts, dtype=np.int64),
                                side="left")
 
-    def prior_pair(self, rank: int) -> tuple[int, int]:
-        """The ``rank``-th distinct pair in order of first occurrence."""
-        key = int(self._prior_order()[1][rank])
-        return key // self._enc_n, key % self._enc_n
+    def prior_pairs(self, ranks) -> tuple[np.ndarray, np.ndarray]:
+        """``(src, dst)`` of the ``ranks[i]``-th distinct pair in order of first occurrence."""
+        return np.divmod(self._prior_order()[1][ranks], self._enc_n)
 
     # -- loop history ----------------------------------------------------
 
@@ -511,14 +489,6 @@ class HistoryIndex:
         hi = ~lo
         out[hi] = self._loop_nodes_by_first[j[hi] + ranks[hi] - n0]
         return out
-
-    def loopless_pick(self, before_t: int, rank: int) -> int:
-        """Scalar :meth:`loopless_picks`."""
-        n0 = self._never_looped.size
-        if rank < n0:
-            return int(self._never_looped[rank])
-        j = int(self._loop_first_t.searchsorted(before_t))
-        return int(self._loop_nodes_by_first[j + rank - n0])
 
 
 @dataclass(frozen=True)

@@ -75,12 +75,13 @@ def write_json(path: PathLike, obj) -> None:
 
 
 @contextmanager
-def _open_text(path: PathLike, encoding: str = "utf-8", newline: str | None = None) -> Iterator:
-    """A text file opened for reading whose undecodable bytes raise
+def _open_text(path: PathLike, newline: str | None = None) -> Iterator:
+    """A UTF-8 file opened for reading, past a leading byte-order mark (as
+    spreadsheet exports begin), whose undecodable bytes raise
     :class:`IngestError` naming their line. The line is looked for only
     once decoding has failed, so reading a valid file costs nothing more."""
     try:
-        with open(path, "r", encoding=encoding, newline=newline) as fh:
+        with open(path, "r", encoding="utf-8-sig", newline=newline) as fh:
             yield fh
     except UnicodeDecodeError:
         with open(path, "rb") as fh:
@@ -93,14 +94,14 @@ def _open_text(path: PathLike, encoding: str = "utf-8", newline: str | None = No
 
 
 def read_json(path: PathLike):
-    with _open_text(path, "utf-8-sig") as fh:
+    with _open_text(path) as fh:
         return json.load(fh)
 
 
 def read_name_list(path: PathLike) -> list[str]:
     """One node name per line; blank lines and ``#`` comments are skipped."""
     out = []
-    with _open_text(path, "utf-8-sig") as fh:
+    with _open_text(path) as fh:
         for line in fh:
             name = line.strip()
             if name and not name.startswith("#"):
@@ -301,8 +302,7 @@ def read_edge_csv(path: PathLike,
     path = Path(path)
     delim = _delimiter_for(path)
     records: list[tuple[str, str, int]] = []
-    # utf-8-sig drops the byte-order mark that spreadsheet exports begin with
-    with _open_text(path, "utf-8-sig", newline="") as fh:
+    with _open_text(path, newline="") as fh:
         reader = csv.reader(fh, delimiter=delim)
         try:
             header = next(reader)

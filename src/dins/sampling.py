@@ -32,11 +32,15 @@ raised. Feed each batch the substream from :func:`batch_rng` so batches
 can be sampled independently (even concurrently) and merged in batch
 order with reproducible results. Draws replay PCG64 output (:class:`_Replay`):
 the one-batch functions take any PCG64 generator and leave it as real calls would.
+A retry is a checked draw: ``_Replay.ints`` redraws a value that forms an
+edge as it redraws one that Lemire's method rejects, for every batch of a
+run at once, so each mechanism has one draw path.
 """
 
 from __future__ import annotations
 
 import gc
+import math
 from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property, partial
@@ -214,6 +218,15 @@ class _Replay:
     half, ``half``, waits for the next such draw while ``has``), for one
     value none; ``random`` scales the top 53 bits of a whole output. Read
     in bulk, a whole run draws with a few array operations.
+
+    With ``check``, ``ints`` draws ``counts[b, 0]`` slots per batch, one
+    after another as calls would, each until a value stands: in phase
+    ``p = 0, 1, ...``, ``tries[p]`` attempts draw from ``[0, highs[i, p])``
+    for slot ``i`` (none where that is 1, offering 0, or less, failing the
+    attempt), and a value stands once ``check(i, p, value)`` accepts it.
+    It returns the values, -1 where no attempt stood, and the attempt
+    each slot ended on. A refused value is redrawn like one that Lemire's
+    method rejects.
     """
 
     def __init__(self, bitgens: list, hint: np.ndarray):
@@ -293,51 +306,135 @@ class _Replay:
                 out.append(lo + (m >> 64))
         return out
 
-    def draw(self, b: int):
-        """``draw(lo, hi)``: one integer from [lo, hi) for batch ``b``."""
-        return lambda lo, hi: self.integers(b, lo, hi, 1)[0]
-
-    def ints(self, counts: np.ndarray, highs: np.ndarray) -> np.ndarray:
+    def ints(self, counts: np.ndarray, highs: np.ndarray, check=None, tries=(1,)):
         n_batches, n_seg = counts.shape
         per_value = counts.ravel()
-        high = np.repeat(highs.ravel(), per_value)
         batch = np.repeat(np.repeat(np.arange(n_batches), n_seg), per_value)
-        vals = np.zeros(high.size, dtype=np.int64)
-        todo = np.flatnonzero(high > 1)      # a range of one value takes no output
+        if check is None:
+            highs = np.repeat(highs.ravel(), per_value)[:, None]
+        vals = np.full(batch.size, -1, dtype=np.int64)
+        tried = np.zeros(0 if check is None else batch.size, dtype=np.int64)  # plain: not counted
+        todo = np.arange(batch.size)
+        ends = np.cumsum(tries)
         while todo.size:
-            todo = self._map(todo, batch, high, vals)
-        return vals
+            todo = self._map(todo, batch, highs, check, ends, vals, tried)
+        return vals if check is None else (vals, tried)
 
-    def _map(self, todo: np.ndarray, batch: np.ndarray, high: np.ndarray,
-             vals: np.ndarray) -> np.ndarray:
-        """Map one half per value ``todo`` (of ascending ``batch``) into ``vals``.
+    def _map(self, todo: np.ndarray, batch: np.ndarray, highs: np.ndarray, check,
+             ends: np.ndarray, vals: np.ndarray, tried: np.ndarray) -> np.ndarray:
+        """Draw for each slot ``todo`` (of ascending ``batch``); return those left.
 
-        A rejected draw shifts its batch's later draws: each batch keeps its
-        values up to its first rejection, whose half is used up, and the
-        values from the rejected one on are returned to be mapped again.
+        Phase ``p`` of a slot makes its attempts up to ``ends[p]``. A phase
+        whose high is 1 or less takes no output and settles first: a high of
+        1 offers 0 to every attempt, a lower one fails them all. Otherwise a
+        batch's slots map one half each, in order; once a batch's first slot
+        has been refused, each of its slots maps a band of ``drift + 1``
+        halves instead, for wherever the slots before it end, so one round
+        settles a run of refusals. From its first slot on, a batch keeps its
+        slots through the first that its halves leave open, by a Lemire
+        rejection or a refusal with attempts to spare; the halves up to
+        there are used up, and the later slots draw again, with the open one.
         """
+        p = 0 if check is None else ends.searchsorted(tried[todo], side="right")
+        h = highs[todo, p]
+        free = np.flatnonzero(h <= 1)
+        if free.size:
+            p = p + np.zeros(todo.size, dtype=np.int64)
+            settled = np.zeros(todo.size, dtype=bool)
+            while free.size:
+                i = todo[free]
+                ok = h[free] == 1
+                if check is not None:
+                    ok[ok] = check(i[ok], p[free[ok]], np.zeros(int(ok.sum()), dtype=np.int64))
+                vals[i[ok]] = 0
+                tried[i[~ok]] = ends[p[free[~ok]]]
+                p[free] += ~ok
+                settled[free] = ok | (p[free] == ends.size)
+                free = free[~settled[free]]
+                h[free] = highs[todo[free], p[free]]
+                free = free[h[free] <= 1]
+            todo, p, h = todo[~settled], p[~settled], h[~settled]
+            if not todo.size:
+                return todo
         ub = batch[todo]
-        halves = np.bincount(ub, minlength=len(self.pos))
-        pos, has, half = np.array(self.pos), np.array(self.has), np.array(self.half)
-        waiting = (has == 1) & (halves > 0)
-        self._reserve(pos + (halves - waiting + 1) // 2)
         rank = _rank_in_group(ub)
-        j = rank - waiting[ub]
-        x = np.empty(ub.size, dtype=np.uint64)
-        w = j < 0
-        x[w] = half[ub[w]]
-        f = ~w
+        drift = np.zeros(len(self.pos), dtype=np.int64)    # places a batch's slots may start late
+        later = todo[:0]
+        if check is not None:          # about 4096 halves a round, at most 512 a batch
+            per = max(4096 // max(int(np.count_nonzero(rank == 0)), 8), 2)
+            room = np.full(drift.size, per)
+            head = ub[(rank == 0) & (tried[todo] > 0)]
+            drift[head] = math.isqrt(2 * per) - 1
+            room[head] = per // (drift[head] + 1)
+            near = rank < room[ub]
+            later = todo[~near]
+            todo, p, h, ub, rank = todo[near], p[near], h[near], ub[near], rank[near]
+        ev = slice(None)                       # the slot of each half mapped
+        eb, at, hh = ub, rank, h
+        if drift.any():
+            w = drift[ub] + 1
+            first = np.cumsum(w) - w
+            ev = np.repeat(np.arange(todo.size), w)
+            q = np.arange(ev.size) - first[ev]         # how late the slot starts there
+            eb, at, hh = ub[ev], rank[ev] + q, h[ev]
+        slots = np.bincount(ub, minlength=drift.size)
+        reach = np.where(slots > 0, slots + drift, 0)
+        pos, has, half = np.array(self.pos), np.array(self.has), np.array(self.half)
+        waiting = (has == 1) & (reach > 0)
+        self._reserve(pos + (reach - waiting + 1) // 2)
+        j = at - waiting[eb]
+        x = np.empty(eb.size, dtype=np.uint64)
+        wt = j < 0
+        x[wt] = half[eb[wt]]
+        f = ~wt
         jf = j[f]
-        words = self.flat[self.off[ub[f]] + pos[ub[f]] + jf // 2]
+        words = self.flat[self.off[eb[f]] + pos[eb[f]] + jf // 2]
         x[f] = (words >> ((jf & 1) * 32).astype(np.uint64)) & _M32
-        h = high[todo].astype(np.uint64)
-        m = x * h
-        vals[todo] = (m >> 32).astype(np.int64)
-        rejected = np.flatnonzero((m & _M32) < (0x100000000 - h) % h)
-        stop = halves.copy()                 # each batch's first rejected value
-        rb, first = np.unique(ub[rejected], return_index=True)
-        stop[rb] = rank[rejected[first]]
-        used = np.minimum(stop + 1, halves)
+        hh = hh.astype(np.uint64)
+        m = x * hh
+        v = (m >> 32).astype(np.int64)
+        fair = (m & _M32) >= (0x100000000 - hh) % hh     # Lemire keeps the value
+        ok = fair.copy()
+        if check is not None:
+            ok[fair] = check(todo[ev][fair], p[ev][fair], v[fair])
+            left = ends[p] - tried[todo]       # attempts left in each slot's phase
+            last = p == ends.size - 1
+        if drift.any():
+            # from each half as its start, where its slot ends: the next
+            # standing half, or the one that spends the attempts left
+            n = ev.size
+            stop = (first + w)[ev]
+            seen = np.cumsum(fair)
+            before = seen - fair
+            end = np.minimum(np.minimum.accumulate(np.where(ok, np.arange(n), n)[::-1])[::-1],
+                             seen.searchsorted(before + left[ev]))
+            z = np.minimum(end, stop - 1)      # the last half the slot takes
+            done = (end < stop) & (ok[z] | last[ev])
+            nxt = np.where(done, q[z], w[ev])  # where the next slot starts; w: not reached
+            step = 1                           # compose each batch's steps by doubling
+            while step <= rank.max():
+                e = np.flatnonzero(rank[ev] >= step)
+                inner = nxt[first[ev[e] - step] + q[e]]
+                cont = inner < w[ev[e]]
+                nxt[e] = np.where(cont, nxt[first[ev[e]] + np.minimum(inner, w[ev[e]] - 1)],
+                                  inner)
+                step *= 2
+            start = np.zeros(todo.size, dtype=np.int64)
+            start[rank > 0] = nxt[first[np.flatnonzero(rank > 0) - 1]]
+            reached = start < w
+            e0 = first + np.minimum(start, w - 1)
+            z, done, spent = z[e0], done[e0], seen[z[e0]] - before[e0]
+            used = np.bincount(ub[reached], (q[z] - start + 1)[reached], minlength=drift.size)
+        else:                                  # one half each
+            z, spent = ev, fair
+            done = ok if check is None else ok | (fair & (left == 1) & last)
+            cut = np.flatnonzero(~done)
+            stop = slots.copy()                # each batch's open slot
+            cb, fc = np.unique(ub[cut], return_index=True)
+            stop[cb] = rank[cut[fc]]
+            reached = rank <= stop[ub]
+            used = np.minimum(stop + 1, slots)
+        used = used.astype(np.int64)
         fresh = used - waiting               # halves from outputs not read before
         new_pos = pos + (fresh + 1) // 2
         new_half = half.copy()
@@ -345,7 +442,13 @@ class _Replay:
         new_half[took] = self.flat[self.off[took] + new_pos[took] - 1] >> 32
         self.pos, self.half = new_pos.tolist(), new_half.tolist()
         self.has = np.where(used > 0, fresh % 2, has).tolist()
-        return todo[rank >= stop[ub]]
+        stood = reached & ok[z]
+        vals[todo[stood]] = v[z][stood]
+        rest = todo[~(reached & done)]
+        if check is None:
+            return rest
+        tried[todo[reached]] += spent[reached].astype(np.int64) - stood[reached]
+        return np.sort(np.concatenate([rest, later]))
 
     def uniforms(self, counts: np.ndarray) -> np.ndarray:
         pos = np.array(self.pos)
@@ -354,48 +457,6 @@ class _Replay:
         words = self.flat[self.off[batch] + pos[batch] + _rank_in_group(batch)]
         self.pos = (pos + counts).tolist()
         return (words >> 11) * (1.0 / 9007199254740992.0)
-
-
-# -- node replacement draws ----------------------------------------------
-
-
-def _draw_one_replacement(draw, n: int, u: int, v: int) -> int:
-    """Uniform draw from V minus {u, v} (V minus {u} when u == v); -1 if empty.
-
-    ``draw(lo, hi)`` is one integer draw from [lo, hi).
-    """
-    same = u == v
-    pool = n - 1 if same else n - 2
-    if pool <= 0:
-        return -1
-    x = draw(0, pool)
-    lo, hi = (u, v) if u <= v else (v, u)
-    if x >= lo:
-        x += 1
-    if not same and x >= hi:
-        x += 1
-    return x
-
-
-def _redraw_nonedge(draw, index: HistoryIndex, n: int,
-                    u: int, v: int, t: int, replace_dst: bool) -> int:
-    """Replacement draw rejected while (u,r,t) resp. (r,v,t) is an edge."""
-    for _ in range(RETRY_CAP):
-        r = _draw_one_replacement(draw, n, u, v)
-        s, d = (u, r) if replace_dst else (r, v)
-        if r < 0 or not index.pair_occurred(s, d, t):
-            return r
-    return -1
-
-
-def _retry_loop_pick(idx: HistoryIndex, draw, before: int, total: int, t: int) -> int:
-    """Draw from the loopless pool before ``before``, of ``total`` nodes, while
-    (r, r, t) is an edge."""
-    for _ in range(RETRY_CAP):
-        r = idx.loopless_pick(before, draw(0, total))
-        if not idx.pair_occurred(r, r, t):
-            return r
-    return -1
 
 
 def _earliest(edge_by_pair: np.ndarray, group: np.ndarray, starts: np.ndarray,
@@ -420,10 +481,11 @@ class _Run:
 
     Every batch draws exactly what it would draw alone, in the same
     order: sender draws and retries, receiver draws and retries, the
-    temporal uniforms and retries, loop picks and retries. The work that
-    does not draw (membership checks, window occupancy, distinct
-    timestamps, enhancement) is done once for the whole run with array
-    operations. Batches must be non-empty and sorted by bin, as
+    temporal uniforms and retries, loop picks and retries. Retries are
+    checked draws, made in rounds for the whole run; the work that does
+    not draw (membership checks, window occupancy, distinct timestamps,
+    enhancement) is done once for the whole run with array operations.
+    Batches must be non-empty and sorted by bin, as
     :func:`dins.graph.batches` cuts them. Negatives are checked against
     ``index``, the graph's own history unless given; evaluation draws its
     replacements and loops as a one-batch run checked against the whole
@@ -449,28 +511,53 @@ class _Run:
         """The index row of each edge's pair, resolved once per run."""
         return self.idx.pair_rows(self.src, self.dst)
 
+    def _replaced(self, e: np.ndarray, x: np.ndarray, replace_dst: bool) -> tuple:
+        """(src, dst, t) of edges ``e`` with the receiver (or sender) replaced by
+        the draw ``x`` from [0, n - 2), [0, n - 1) for a loop edge, unfolded past
+        the excluded ids to stay uniform."""
+        u, v = self.src[e], self.dst[e]
+        x = x + (x >= np.minimum(u, v))
+        x = x + ((x >= np.maximum(u, v)) & (u != v))
+        return (u, x, self.t[e]) if replace_dst else (x, v, self.t[e])
+
+    def _draw_free(self, batch: np.ndarray, highs: np.ndarray, candidate,
+                   tries: tuple) -> tuple:
+        """Slots drawn in order as batch ``batch[i]`` (ascending), each until its
+        candidate is not an edge: in phase ``p``, ``tries[p]`` attempts of slot
+        ``i`` each draw ``x`` from [0, highs[i, p]) and propose
+        ``candidate(i, p, x)``, a (src, dst, t). Returns each slot's (src, dst),
+        -1 where every attempt failed, and the attempt it ended on."""
+        x, tried = self.draws.ints(
+            np.bincount(batch, minlength=self.sizes.size)[:, None], highs,
+            lambda i, p, x: ~self.idx.occurred(*candidate(i, p, x)), tries)
+        out = np.full((2, x.size), -1, dtype=np.int64)
+        ok = np.flatnonzero(x >= 0)
+        phase = np.cumsum(tries).searchsorted(tried[ok], side="right")
+        out[:, ok] = candidate(ok, phase, x[ok])[:2]
+        return out[0], out[1], tried
+
     def replacements(self, replace_dst: bool) -> np.ndarray:
         """A replaced receiver (or sender) per edge, -1 where none was found.
 
         Each batch draws for its loop edges, which exclude one node, then for
-        the others, which exclude two, unfolded past the excluded ids to stay
-        uniform; draws that form an edge are redrawn one by one, in edge order.
+        the others, which exclude two; then it redraws, in edge order, each
+        draw that forms an edge, up to ``RETRY_CAP`` times.
         """
-        src, dst, ts, bid, n = self.src, self.dst, self.t, self.bid, self.graph.n
+        src, dst, bid, n = self.src, self.dst, self.bid, self.graph.n
         same = src == dst
         order = np.argsort(bid * 2 + ~same, kind="stable")
         n_loops = np.bincount(bid[same], minlength=self.sizes.size)
         counts = np.stack([n_loops * (n >= 2), (self.sizes - n_loops) * (n >= 3)], axis=1)
         x = self.draws.ints(counts, np.broadcast_to(np.array([n - 1, n - 2]), counts.shape))
         rows = order[np.where(same[order], n >= 2, n >= 3)]
-        x += x >= np.minimum(src[rows], dst[rows])
-        x += (x >= np.maximum(src[rows], dst[rows])) & ~same[rows]
+        first = self._replaced(rows, x, replace_dst)
         r = np.full(src.size, -1, dtype=np.int64)
-        r[rows] = x
-        hit = self.idx.occurred(*((src[rows], x) if replace_dst else (x, dst[rows])), ts[rows])
-        for i in np.sort(rows[hit]).tolist():
-            r[i] = _redraw_nonedge(self.draws.draw(int(bid[i])), self.idx, n,
-                                   int(src[i]), int(dst[i]), int(ts[i]), replace_dst)
+        r[rows] = first[replace_dst]
+        hit = np.sort(rows[self.idx.occurred(*first)])
+        again = self._draw_free(bid[hit], (n - 1 - ~same[hit])[:, None],
+                                lambda i, p, x: self._replaced(hit[i], x, replace_dst),
+                                (RETRY_CAP,))
+        r[hit] = again[replace_dst]
         return r
 
     def temporal(self, q: int, t_f: int) -> tuple[np.ndarray, ...]:
@@ -580,28 +667,22 @@ class _Run:
 
         Per edge, in edge order: up to ``RETRY_CAP`` draws of an earlier pair,
         kept once it is not an edge at the bin; when there is none or
-        every draw collides, a receiver replacement. Returns each edge's
-        (src, dst), -1 where the replacement failed too, and whether it
-        fell back.
+        every draw collides, up to ``RETRY_CAP`` receiver replacements.
+        Returns each edge's (src, dst), -1 where the replacement failed
+        too, and whether it fell back.
         """
         idx, n = self.idx, self.graph.n
-        out = np.full((2, self.t.size), -1, dtype=np.int64)
-        fell = np.zeros(self.t.size, dtype=bool)
-        for i, (b, u, v, t, c) in enumerate(zip(
-                self.bid.tolist(), self.src.tolist(), self.dst.tolist(),
-                self.t.tolist(), idx.prior_pair_counts(self.t).tolist())):
-            draw = self.draws.draw(b)
-            for _ in range(RETRY_CAP if c else 0):
-                pair = idx.prior_pair(draw(0, c))
-                if not idx.pair_occurred(*pair, t):
-                    out[:, i] = pair
-                    break
-            else:
-                fell[i] = True
-                r = _redraw_nonedge(draw, idx, n, u, v, t, True)
-                if r >= 0:
-                    out[:, i] = u, r
-        return out[0], out[1], fell
+        prior = idx.prior_pair_counts(self.t)
+        pool = n - 1 - (self.src != self.dst)
+
+        def candidate(i, p, x):
+            s, d, t = self._replaced(i, x, True)
+            s[p == 0], d[p == 0] = idx.prior_pairs(x[p == 0])
+            return s, d, t
+
+        s, d, tried = self._draw_free(self.bid, np.stack([prior, pool], axis=1), candidate,
+                                      (RETRY_CAP, RETRY_CAP))
+        return s, d, tried >= RETRY_CAP
 
     def loops(self, pool_mode: str) -> tuple[np.ndarray, ...]:
         """One negative self-loop per distinct bin of each batch.
@@ -618,17 +699,14 @@ class _Run:
             # one pool per batch: nodes without a loop before its first bin
             nodes = self.loop_picks(tb, self.t_min, ts)
         else:
-            # the pool shrinks before each bin, so draw bin by bin
-            nodes = np.full(ts.size, -1, dtype=np.int64)
+            # the pool shrinks before each bin, so each bin draws until its pick stands
             totals = idx.loopless_counts(ts)
-            for j, (b, tj, total) in enumerate(zip(tb.tolist(), ts.tolist(),
-                                                   totals.tolist())):
-                if total:
-                    draw = self.draws.draw(b)
-                    r = idx.loopless_pick(tj, draw(0, total))
-                    if idx.pair_occurred(r, r, tj):
-                        r = _retry_loop_pick(idx, draw, tj, total, tj)
-                    nodes[j] = r
+
+            def candidate(i, p, x):
+                node = idx.loopless_picks(ts[i], x)
+                return node, node, ts[i]
+
+            nodes = self._draw_free(tb, totals[:, None], candidate, (1 + RETRY_CAP,))[0]
         ok = nodes >= 0
         tb = tb[ok]
         short = n_ts - np.bincount(tb, minlength=n_ts.size)
@@ -646,10 +724,14 @@ class _Run:
         nodes = np.full(ts.size, -1, dtype=np.int64)
         rows = np.flatnonzero(totals[group] > 0)
         nodes[rows] = idx.loopless_picks(before[group[rows]], ranks)
-        for j in rows[idx.occurred(nodes[rows], nodes[rows], ts[rows])].tolist():
-            b = int(group[j])
-            nodes[j] = _retry_loop_pick(idx, self.draws.draw(b), int(before[b]),
-                                        int(totals[b]), int(ts[j]))
+        hit = rows[idx.occurred(nodes[rows], nodes[rows], ts[rows])]
+
+        def candidate(i, p, x):
+            node = idx.loopless_picks(before[group[hit[i]]], x)
+            return node, node, ts[hit[i]]
+
+        nodes[hit] = self._draw_free(group[hit], totals[group[hit]][:, None], candidate,
+                                     (RETRY_CAP,))[0]
         return nodes
 
     def enhancement(self, k: int) -> tuple[np.ndarray, ...]:

@@ -242,8 +242,8 @@ def test_scores_jsonl_names_the_line_of_an_integer_too_large_for_a_float(tmp_pat
 
 def _reference_lines(path):
     """(line number, value) of each non-blank line: ``json.loads`` of the
-    stripped line."""
-    with open(path, "r", encoding="utf-8") as fh:
+    stripped line, after a leading byte-order mark."""
+    with open(path, "r", encoding="utf-8-sig") as fh:
         for i, line in enumerate(fh, start=1):
             line = line.strip()
             if not line:
@@ -456,6 +456,9 @@ def test_jsonl_readers_reject_a_split_record_and_read_writer_output(tmp_path, re
     text = path.read_text()
     assert read(path) == want
     path.write_text(text.rstrip("\n"))
+    assert read(path) == want
+    # and after the byte-order mark that spreadsheet tools write first
+    path.write_text("\ufeff" + text, encoding="utf-8")
     assert read(path) == want
 
 

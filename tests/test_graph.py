@@ -198,7 +198,6 @@ def test_history_index_matches_oracles(g):
 
     for u, v in list(times)[:10]:
         for t in t_probe:
-            assert idx.pair_occurred(u, v, t) == ((u, v, t) in triples)
             start, stop = idx.window_bounds([u], [v], [t_probe[0]], [t - 1])
             assert (stop[0] > start[0]) == any(x < t for x in times[(u, v)])
             expect_last = max((x for x in times[(u, v)] if x <= t), default=None)
@@ -233,8 +232,8 @@ def test_history_index_matches_oracles(g):
     for t in t_probe:
         want_pairs = {p for p, f in firsts.items() if f < t}
         assert idx.prior_pair_counts([t])[0] == len(want_pairs)
-        got_pairs = {idx.prior_pair(r) for r in range(len(want_pairs))}
-        assert got_pairs == want_pairs
+        us, vs = idx.prior_pairs(np.arange(len(want_pairs)))
+        assert set(zip(us.tolist(), vs.tolist())) == want_pairs
 
     # loopless pool strictly before t
     for t in t_probe:
@@ -280,7 +279,8 @@ def test_history_index_builds_the_prior_pair_order_only_when_asked():
         sum(f < t for f in firsts.values()) for t in ts.tolist()]
     assert index_bytes() == lean + 16 * n_pairs
     by_first = sorted(firsts, key=lambda p: (firsts[p], p))
-    assert [idx.prior_pair(r) for r in range(n_pairs)] == by_first
+    us, vs = idx.prior_pairs(np.arange(n_pairs))
+    assert list(zip(us.tolist(), vs.tolist())) == by_first
 
 
 def test_history_index_huge_ids_and_bins():
@@ -290,12 +290,12 @@ def test_history_index_huge_ids_and_bins():
     dst = np.array([7, n - 3], dtype=np.int64)
     t = np.array([0, 2**31], dtype=np.int64)
     idx = HistoryIndex(src, dst, t, n)
-    assert idx.pair_occurred(5, 7, 0)
-    assert not idx.pair_occurred(5, 7, 1)
-    assert idx.pair_occurred(n - 2, n - 3, 2**31)
     got = idx.occurred(src, dst, np.array([0, 2**31]))
     assert got.tolist() == [True, True]
     assert not idx.occurred(src, dst, np.array([1, 1])).any()
+    assert not idx.occurred([5, n - 2], [7, n - 3], [2**31, 0]).any()
+    assert [a.tolist() for a in idx.prior_pairs(np.array([0, 1]))] == [[5, n - 2], [7, n - 3]]
+    assert idx.prior_pair_counts([0, 1, 2**31, 2**31 + 1]).tolist() == [0, 1, 1, 2]
 
 
 _I64 = np.iinfo(np.int64)
@@ -333,7 +333,6 @@ def test_pair_row_lookups_match_brute_force(case):
     want = [(u, v, b) in edges for u, v, b, _ in probes]
     assert idx.occurred(us, vs, los).tolist() == want
     assert idx.occurred(None, None, los, rows=rows).tolist() == want
-    assert [idx.pair_occurred(u, v, b) for u, v, b, _ in probes] == want
 
     for given_rows in (None, rows):
         starts, stops = idx.window_bounds(us, vs, los, his, rows=given_rows)

@@ -15,7 +15,7 @@ from dins import (SamplerConfig, batch_rng, batches, build_graph, evaluation,
                   sample_batches, sampling)
 from dins.config import derive_rng, derive_rngs
 from dins.evaluation import EVAL_NEGATIVE_CATEGORIES, build_eval_set
-from dins.sampling import (HISTORICAL, NEG, NEGATIVE_LOOP, OBSERVED, POS,
+from dins.sampling import (HISTORICAL, LOOP, NEG, NEGATIVE_LOOP, OBSERVED, POS,
                            POSITIVE_ENHANCEMENT, RANDOM_RECEIVER,
                            RANDOM_SENDER, STRATEGIES, TEMPORAL, VOCABULARY, Sample,
                            _Replay, _Run, _sample_run, _sample_sets,
@@ -52,28 +52,48 @@ class _Calls:
     integers from ``[0, highs[b, s])``; ``uniforms`` draws ``counts[b]``
     floats from [0, 1) per batch; both return the values in batch order.
     ``integers`` makes ``size`` draws from [lo, hi) for batch ``b``.
+    With ``check``, ``ints`` draws ``counts[b, 0]`` slots per batch, one
+    after another: slot ``i`` makes ``tries[p]`` attempts in phase ``p``,
+    for ``p = 0, 1, ...``, until one stands, each drawing one integer from
+    ``[0, highs[i, p])`` (none when that is 1, which gives 0, and none when
+    it is below 1, which fails the attempt); a value stands once
+    ``check(i, p, value)`` accepts it. It returns the values, -1 where no
+    attempt stood, and the attempt each slot ended on.
     """
 
     def __init__(self, rngs: list):
         self.rngs = rngs
 
-    def ints(self, counts: np.ndarray, highs: np.ndarray) -> np.ndarray:
-        vals: list[int] = []
-        for rng, cs, hs in zip(self.rngs, counts.tolist(), highs.tolist()):
-            for c, h in zip(cs, hs):
-                if c:
-                    vals += _ints(rng, 0, h, c)
-        return np.array(vals, dtype=np.int64)
+    def ints(self, counts: np.ndarray, highs: np.ndarray, check=None, tries=(1,)):
+        if check is None:
+            vals: list[int] = []
+            for rng, cs, hs in zip(self.rngs, counts.tolist(), highs.tolist()):
+                for c, h in zip(cs, hs):
+                    if c:
+                        vals += _ints(rng, 0, h, c)
+            return np.array(vals, dtype=np.int64)
+        batch = np.repeat(np.arange(len(self.rngs)), counts[:, 0])
+        vals = np.full(batch.size, -1, dtype=np.int64)
+        tried = np.zeros(batch.size, dtype=np.int64)
+        for i, b in enumerate(batch.tolist()):
+            for p, n in enumerate(tries):
+                high = int(highs[i, p])
+                for _ in range(n):
+                    if high >= 1:
+                        x = _ints(self.rngs[b], 0, high, 1)
+                        if check(np.array([i]), np.array([p]), np.array(x))[0]:
+                            vals[i] = x[0]
+                            break
+                    tried[i] += 1
+                if vals[i] >= 0:
+                    break
+        return vals, tried
 
     def uniforms(self, counts: np.ndarray) -> np.ndarray:
         return np.concatenate([rng.random(c) for rng, c in zip(self.rngs, counts.tolist())])
 
     def integers(self, b: int, lo: int, hi: int, size: int) -> list[int]:
         return _ints(self.rngs[b], lo, hi, size)
-
-    def draw(self, b: int):
-        """``draw(lo, hi)``: one integer from [lo, hi) for batch ``b``."""
-        return lambda lo, hi: self.integers(b, lo, hi, 1)[0]
 
 
 class _SettledCalls(_Calls):
@@ -457,13 +477,29 @@ def _draw_script(seed):
     r = np.random.default_rng(seed)
     script = []
     for _ in range(int(r.integers(1, 12))):
-        kind = r.choice(["ints", "uniforms", "integers"])
+        kind = r.choice(["ints", "uniforms", "integers", "checked"])
         # 3 * 2**30 and 3 * 2**61 reject about a quarter of their draws;
         # 1 takes none; only scalar draws get ranges wider than 2**32
         highs = [1, 2, 7, 289, 50_000, 3 * 2**30, 2**32]
         high = int(r.choice(highs + [2**40 + 7, 3 * 2**61] * (kind == "integers")))
-        script.append((kind, high, int(r.integers(0, 9))))
+        script.append((kind, high, int(r.integers(0, 9)), int(r.integers(2**32))))
     return script
+
+
+def _checked_draw(high, n_slots, seed):
+    """``(highs, check, tries)`` of a checked draw: one or two phases of 1,
+    3 or 8 attempts, each slot's high in each 0 (an empty pool), 1, 7 or
+    ``high``. The check refuses a value by a random table of slot, phase
+    and value, for none, half, most or all values, so slots run out too."""
+    r = np.random.default_rng(seed)
+    tries = tuple(int(n) for n in r.choice([1, 3, 8], size=int(r.integers(1, 3))))
+    highs = r.choice([0, 1, 7, high], size=(n_slots, len(tries)))
+    refuse = r.random((n_slots, len(tries), 16)) < r.choice([0.0, 0.5, 0.9, 1.0])
+
+    def check(i, p, x):
+        return ~refuse[i, p, x % 16]
+
+    return highs, check, tries
 
 
 @pytest.mark.parametrize("n_batches", [1, 3])
@@ -471,9 +507,10 @@ def test_replayed_draws_equal_generator_calls(n_batches):
     # _Replay answers every draw from the raw PCG64 output; _Calls makes
     # them by calling each Generator. Both must agree, across rejections,
     # ranges of one value and past 2**32, uniforms between halves of an
-    # output, generators that start on a waiting half, and batches that
-    # outrun the outputs read up front; and settling must leave each
-    # generator as the calls left it.
+    # output, generators that start on a waiting half, batches that
+    # outrun the outputs read up front, and checked draws whose slots are
+    # refused, run out, or meet ranges of one value and empty pools; and
+    # settling must leave each generator as the calls left it.
     for seed in range(60):
         keys = list(range(seed, seed + n_batches))
         rngs, twins = derive_rngs(seed, keys), derive_rngs(seed, keys)
@@ -485,9 +522,13 @@ def test_replayed_draws_equal_generator_calls(n_batches):
         states = [g.bit_generator.state for g in twins]
         replay.has = [st["has_uint32"] for st in states]
         replay.half = [st["uinteger"] for st in states]
-        for kind, high, size in _draw_script(seed):
+        for kind, high, size, key in _draw_script(seed):
             counts = np.arange(size, size + n_batches)
-            if kind == "ints":
+            if kind == "checked":        # up to 30 slots a batch, past what one round maps
+                draw = (3 * counts[:, None], *_checked_draw(high, 3 * int(counts.sum()), key))
+                got, want = replay.ints(*draw), calls.ints(*draw)
+                assert [a.tolist() for a in got] == [a.tolist() for a in want]
+            elif kind == "ints":
                 c = np.stack([counts, counts[::-1]], axis=1)
                 h = np.tile([high, max(high // 3, 1)], (n_batches, 1))
                 assert replay.ints(c, h).tolist() == calls.ints(c, h).tolist()
@@ -510,13 +551,17 @@ def _waiting(seed):
     return rng
 
 
-def test_one_batch_calls_leave_the_generator_as_calls_would(monkeypatch):
-    # A one-batch function replays the caller's generator and hands it
-    # back in the state that real calls leave, waiting half included. Six
-    # nodes and many repeats make every retry path draw.
+def _six_nodes():
+    """300 edges among six nodes: many repeats make every retry path draw."""
     r = np.random.default_rng(5)
     src, dst = r.integers(0, 6, size=(2, 300))
-    g = graph_from_arrays(src, dst, np.sort(r.integers(0, 40, size=300)), 6)
+    return graph_from_arrays(src, dst, np.sort(r.integers(0, 40, size=300)), 6)
+
+
+def test_one_batch_calls_leave_the_generator_as_calls_would(monkeypatch):
+    # A one-batch function replays the caller's generator and hands it
+    # back in the state that real calls leave, waiting half included.
+    g = _six_nodes()
     cfg = SamplerConfig(k=100, q=3, t_f=12, seed=0)
     blocks = batches(g, cfg.k)
     for batch in blocks:
@@ -540,6 +585,36 @@ def test_one_batch_calls_leave_the_generator_as_calls_would(monkeypatch):
                 for cat, rng in zip(EVAL_NEGATIVE_CATEGORIES, rngs)]
         sides[side] = ([ss.samples for ss in sets], [rng.bit_generator.state for rng in rngs])
     assert sides["replay"] == sides["calls"]
+
+
+def test_retries_draw_only_through_checked_ints(monkeypatch):
+    # Every retry is a checked draw in _Replay.ints; only the temporal
+    # rounds draw value by value, so no other path may call integers.
+    g = _six_nodes()
+    _Replay.of(np.random.default_rng(0))        # the once-per-process self-check
+    checked = Counter()
+    ints = _Replay.ints
+
+    def spy(self, counts, highs, check=None, tries=(1,)):
+        if check is not None:
+            checked[current] += int(counts.sum())
+        return ints(self, counts, highs, check, tries)
+
+    def refuse(*args):
+        raise AssertionError("a retry drew through _Replay.integers")
+
+    monkeypatch.setattr(_Replay, "ints", spy)
+    monkeypatch.setattr(_Replay, "integers", refuse)
+    cfg = SamplerConfig(k=100, q=3, t_f=12, seed=0)
+    runs = [("random", "batch"), ("historical", "batch"), ("sender_receiver", "batch"),
+            ("loops", "batch"), ("loops", "per-t")]
+    for current in runs:
+        for _ in sample_batches(g, current[0], cfg, pool_mode=current[1]):
+            pass
+    block = batches(g, cfg.k)[0]
+    for current in EVAL_NEGATIVE_CATEGORIES:
+        build_eval_set(block, g, g.history, current, _waiting(0))
+    assert all(checked[name] for name in runs + [RANDOM_SENDER, RANDOM_RECEIVER, LOOP])
 
 
 def test_non_pcg64_generators_are_rejected(tiny_graph):
