@@ -108,12 +108,12 @@ class SamplerConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.q < 1:
-            raise ValueError("q must be >= 1")
-        if self.t_f < 1:
-            raise ValueError("t_f must be >= 1")
-        if self.k < 1:
-            raise ValueError("k must be >= 1")
+        if not 1 <= self.q < 2**63:
+            raise ValueError("q must be >= 1 and below 2**63")
+        if not 1 <= self.t_f < 2**63:
+            raise ValueError("t_f must be >= 1 and below 2**63")
+        if not 1 <= self.k < 2**63:
+            raise ValueError("k must be >= 1 and below 2**63")
         if self.seed < 0:
             raise ValueError("seed must be non-negative")
 
@@ -183,8 +183,8 @@ class PipelineConfig:
             raise ValueError(f"loop_pool must be one of {VALID_LOOP_POOL}")
         if self.loop_eval not in VALID_LOOP_EVAL:
             raise ValueError(f"loop_eval must be one of {VALID_LOOP_EVAL}")
-        if len(self.columns) != 3:
-            raise ValueError("columns must name exactly (src, dst, timestamp)")
+        if len(set(self.columns)) != 3 or len(self.columns) != 3:
+            raise ValueError("columns must name three distinct columns: (src, dst, timestamp)")
         if self.min_month_edges < 0:
             raise ValueError("min_month_edges must be non-negative")
         # delegate numeric checks

@@ -2,8 +2,8 @@
 
 Test positives are scored against six kinds of structured negatives,
 each probing a different easy win: replaced sender, replaced receiver,
-negative self-loop, and the same pair re-probed 6h / 12h / 24h later
-(offsets of 72 / 144 / 288 bins at the default 5-minute bin). A seventh
+negative self-loop, and the same pair re-probed 72 / 144 / 288 bins later
+(6 / 12 / 24 hours at the default 5-minute bins). A seventh
 "overall" row pools all six. Ranking quality per category is the
 tie-aware area under the ROC curve computed by midrank aggregation,
 which matches the brute-force pairwise definition (wins + half-ties)

@@ -30,8 +30,10 @@ be absent from the edge multiset at its timestamp. Draws that cannot be
 satisfied within ``RETRY_CAP`` attempts are dropped and tallied, not
 raised. Feed each batch the substream from :func:`batch_rng` so batches
 can be sampled independently (even concurrently) and merged in batch
-order with reproducible results. Draws replay PCG64 output (:class:`_Replay`):
-the one-batch functions take any PCG64 generator and leave it as real calls would.
+order with reproducible results. Draws are dins' own mapping of PCG64 raw
+output (:class:`_Replay`), which NumPy keeps stable with SeedSequence: the
+one-batch functions take any PCG64 generator, consume its raw outputs and
+leave its waiting half as that mapping leaves it.
 A retry is a checked draw: ``_Replay.ints`` redraws a value that forms an
 edge as it redraws one that Lemire's method rejects, for every batch of a
 run at once, so each mechanism has one draw path.
@@ -70,7 +72,7 @@ CATEGORIES = (OBSERVED, RANDOM_RECEIVER, RANDOM_SENDER, HISTORICAL,
               TEMPORAL, NEGATIVE_LOOP, POSITIVE_ENHANCEMENT)
 
 # categories only the evaluation draws: a self-loop, and the same pair
-# probed 6h / 12h / 24h later
+# probed 72 / 144 / 288 bins later
 LOOP = "loop"
 H6 = "h6"
 H12 = "h12"
@@ -175,7 +177,6 @@ RUN_EDGES = 1 << 14
 # hold at once; pairs that fill whole windows would otherwise make it grow
 # with the square of the run's size.
 _BUDGET = 1 << 18
-_replay_checked = False     # set once a replay has matched Generator calls
 
 
 def _rank_in_group(groups: np.ndarray) -> np.ndarray:
@@ -186,38 +187,20 @@ def _rank_in_group(groups: np.ndarray) -> np.ndarray:
     return np.arange(groups.size) - np.repeat(start, np.diff(start, append=groups.size))
 
 
-def _check_replay() -> None:
-    """Check the replay, which copies NumPy's private mapping, against calls that
-    start on a waiting half and reject often, from 32-bit and from wider ranges."""
-    global _replay_checked
-    _replay_checked = True      # the probe's own replay must not probe again
-    calls, twin = np.random.default_rng(0), np.random.default_rng(0)
-    calls.integers(0, 7), twin.integers(0, 7)
-    draws = _Replay.of(twin)
-    got = (draws.ints(np.array([[40, 5]]), np.array([[3 * 2**30, 289]])).tolist()
-           + draws.integers(0, 11, 11 + 3 * 2**61, 8) + draws.uniforms(np.array([3])).tolist())
-    draws.settle()
-    want = (calls.integers(0, 3 * 2**30, 40).tolist() + calls.integers(0, 289, 5).tolist()
-            + calls.integers(11, 11 + 3 * 2**61, 8).tolist() + calls.random(3).tolist())
-    if got != want or twin.bit_generator.state != calls.bit_generator.state:
-        _replay_checked = False
-        raise RuntimeError(f"the PCG64 replay differs from Generator calls under numpy "
-                           f"{np.__version__}; sampled streams would not be reproducible")
-
-
 class _Replay:
-    """The draws of any PCG64 generators, replayed from their raw output.
+    """dins' draws, defined on the raw output of PCG64 generators.
 
     ``ints`` draws, per batch ``b`` and in segment order, ``counts[b, s]``
     integers from ``[0, highs[b, s])`` (at most 2**32 values); ``uniforms``
     draws ``counts[b]`` floats from [0, 1) per batch; both return the
     values in batch order. ``integers`` makes ``size`` draws from [lo, hi)
-    for batch ``b``. Each gives what ``Generator`` calls would: for up to
-    2**32 values ``integers`` maps one 32-bit half of a 64-bit output
-    through Lemire's multiply-and-reject (the low half first; the high
-    half, ``half``, waits for the next such draw while ``has``), for one
-    value none; ``random`` scales the top 53 bits of a whole output. Read
-    in bulk, a whole run draws with a few array operations.
+    for batch ``b``. A range of up to 2**32 values maps one 32-bit half of
+    an output by Lemire's multiply-and-reject (the low half first; the high
+    half, ``half``, waits in the PCG64 state for the next such draw while
+    ``has``); a wider one maps whole outputs by 64-bit Lemire, and one
+    value none; a uniform is the top 53 bits of an output over 2**53. This
+    is what NumPy 2.4's ``Generator.integers`` and ``random`` do, which
+    NumPy does not promise to keep. A run draws with a few array passes.
 
     With ``check``, ``ints`` draws ``counts[b, 0]`` slots per batch, one
     after another as calls would, each until a value stands: in phase
@@ -230,8 +213,6 @@ class _Replay:
     """
 
     def __init__(self, bitgens: list, hint: np.ndarray):
-        if not _replay_checked:
-            _check_replay()
         self.bitgens = bitgens
         self._join([bg.random_raw(h) for bg, h in zip(bitgens, hint.tolist())])
         self.pos = [0] * len(bitgens)      # next unread output of each batch
@@ -571,7 +552,7 @@ class _Run:
         """
         idx, rows, t = self.idx, self.rows, self.t
         u01 = self.draws.uniforms(q * self.sizes)
-        hi = np.minimum(t + t_f, self.t_max[self.bid])
+        hi = t + np.minimum(t_f, self.t_max[self.bid] - t)    # t + t_f may not fit int64
         width = hi - t + 1
         starts, stops = idx.window_bounds(None, None, t, hi, rows=rows)
         # rejection is certain where more than q bins stay free even if

@@ -15,8 +15,8 @@ November 9999, since its last window ends a month later); others raise
 
 Within a split, bins are recomputed from the train window's own
 earliest raw time with :func:`dins.graph.binned`, so a bin offset of 288
-means 24 hours in every split regardless of where the split sits in the
-dataset.
+spans the same time in every split wherever the split sits in the dataset:
+288 times ``bin_width_seconds``, 24 hours at the default 300-second bins.
 """
 
 from __future__ import annotations

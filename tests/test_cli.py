@@ -609,6 +609,26 @@ def test_ingest_then_stats_match_csv(months_csv, tmp_path, monkeypatch):
     assert again == info
 
 
+def test_repeated_columns_are_rejected_before_reading(tmp_path):
+    # src,src,timestamp read the source column twice: every edge a loop
+    code, out, err = run_cli("stats", str(tmp_path / "missing.csv"),
+                             "--columns", "src,src,timestamp")
+    assert (code, out) == (1, "")
+    assert json.loads(err)["message"] == (
+        "columns must name three distinct columns: (src, dst, timestamp)")
+    with pytest.raises(ValueError, match="^columns must name three distinct"):
+        PipelineConfig(dataset="x.csv", columns=("src", "dst", "dst"))
+
+
+def test_sample_rejects_a_t_f_past_int64_before_writing(months_csv, tmp_path):
+    out = tmp_path / "s.jsonl"
+    code, stdout, err = run_cli("sample", str(months_csv), "--strategy", "temporal",
+                                "--tf", str(2**63), "--out", str(out))
+    assert (code, stdout) == (1, "")
+    assert json.loads(err)["message"] == "t_f must be >= 1 and below 2**63"
+    assert list(tmp_path.iterdir()) == [months_csv]
+
+
 def test_split_writes_directories(months_csv, tmp_path):
     out_dir = tmp_path / "splits"
     info = cli_json("split", str(months_csv), "--out-dir", str(out_dir))

@@ -23,7 +23,7 @@ from dins.sampling import (HISTORICAL, LOOP, NEG, NEGATIVE_LOOP, OBSERVED, POS,
                            sample_historical_baseline, sample_negative_loops,
                            sample_random_baseline, sample_sender_receiver,
                            sample_temporal)
-from dins.synthetic import graph_from_arrays
+from dins.synthetic import graph_from_arrays, multi_month_records
 
 from conftest import first_seen_map, graphs, loop_first_map, triple_set
 
@@ -511,6 +511,7 @@ def test_replayed_draws_equal_generator_calls(n_batches):
     # outrun the outputs read up front, and checked draws whose slots are
     # refused, run out, or meet ranges of one value and empty pools; and
     # settling must leave each generator as the calls left it.
+    seen = set()
     for seed in range(60):
         keys = list(range(seed, seed + n_batches))
         rngs, twins = derive_rngs(seed, keys), derive_rngs(seed, keys)
@@ -523,6 +524,7 @@ def test_replayed_draws_equal_generator_calls(n_batches):
         replay.has = [st["has_uint32"] for st in states]
         replay.half = [st["uinteger"] for st in states]
         for kind, high, size, key in _draw_script(seed):
+            seen.add((str(kind), high if kind != "uniforms" else 0, seed % 2))
             counts = np.arange(size, size + n_batches)
             if kind == "checked":        # up to 30 slots a batch, past what one round maps
                 draw = (3 * counts[:, None], *_checked_draw(high, 3 * int(counts.sum()), key))
@@ -541,6 +543,9 @@ def test_replayed_draws_equal_generator_calls(n_batches):
                             == calls.integers(b, lo, lo + high, size))
         replay.settle()
         assert [g.bit_generator.state for g in twins] == [g.bit_generator.state for g in rngs]
+    # from a waiting half: frequent rejections, 32-bit and wider ranges, uniforms
+    assert {("ints", 3 * 2**30, 1), ("ints", 2**32, 1), ("checked", 3 * 2**30, 1),
+            ("integers", 2**40 + 7, 1), ("integers", 3 * 2**61, 1), ("uniforms", 0, 1)} <= seen
 
 
 def _waiting(seed):
@@ -551,11 +556,11 @@ def _waiting(seed):
     return rng
 
 
-def _six_nodes():
+def _six_nodes(bins=40):
     """300 edges among six nodes: many repeats make every retry path draw."""
     r = np.random.default_rng(5)
     src, dst = r.integers(0, 6, size=(2, 300))
-    return graph_from_arrays(src, dst, np.sort(r.integers(0, 40, size=300)), 6)
+    return graph_from_arrays(src, dst, np.sort(r.integers(0, bins, size=300)), 6)
 
 
 def test_one_batch_calls_leave_the_generator_as_calls_would(monkeypatch):
@@ -591,7 +596,6 @@ def test_retries_draw_only_through_checked_ints(monkeypatch):
     # Every retry is a checked draw in _Replay.ints; only the temporal
     # rounds draw value by value, so no other path may call integers.
     g = _six_nodes()
-    _Replay.of(np.random.default_rng(0))        # the once-per-process self-check
     checked = Counter()
     ints = _Replay.ints
 
@@ -623,14 +627,93 @@ def test_non_pcg64_generators_are_rejected(tiny_graph):
         sample_dins(batch, tiny_graph, cfg, np.random.Generator(np.random.MT19937(0)))
 
 
-def test_replay_that_differs_from_numpy_is_refused(tiny_graph, monkeypatch):
-    # the first replay in a process checks itself against real calls
-    monkeypatch.setattr(sampling, "_replay_checked", False)
-    monkeypatch.setattr(_Replay, "uniforms", lambda self, counts: np.zeros(int(counts.sum())))
-    batch, cfg = one_batch(tiny_graph)
-    for _ in range(2):
-        with pytest.raises(RuntimeError, match=f"numpy {np.__version__}"):
-            sample_dins(batch, tiny_graph, cfg, batch_rng(0, 0))
+# seed: (first raw outputs, ints from 7 / 3 * 2**30 / 2**32, integers from
+# 2**40 + 7 and 3 * 2**61, uniforms, two more ints from 7, outputs consumed,
+# the waiting half left in the state)
+_RAW_PINS = {
+    0: ([11749869230777074271, 4976686463289251617, 755828109848996024],
+        [5, 4, 3, 131984958, 242365461, 53239240, 564575468, 2091914554, 2940191514,
+         1622296031, 1954110612, 4169308741, 3133163871, 2715582399],
+        [1028123002773, 897040469324, 3011012779],
+        [232329192085575659, 5047412730855550797, 1215102854386511582,
+         5971065251403288485, 3745573708415053169],
+        [0.2997118905373848, 0.42268722119765845, 0.028319671145462966],
+        [3, 0], 22, 533792608),
+    2**32 + 5: ([14281546376153053393, 8683300866460616067, 12836726618003871680],
+                [0, 5, 5, 1516303896, 2732868568, 2626713187, 1732816137, 1836839216,
+                 1666327769, 1904600048, 677169707, 3835358842, 304074557, 1183277502],
+                [1091362961680, 962544155297, 1068406938251],
+                [408873820540343751, 2955952258940912259, 1421281303025302264,
+                 2231345187568915473, 2257180671830155010],
+                [0.7022562422875324, 0.4811853954398059, 0.034698697065821515],
+                [3, 0], 23, 3029264434),
+}
+
+
+@pytest.mark.parametrize("seed", sorted(_RAW_PINS))
+def test_draws_are_pinned_to_pcg64_raw_output(seed):
+    # dins' draws are defined on PCG64's raw output, which NumPy keeps
+    # stable, and not on Generator's mapping, which it may change; no
+    # Generator is made here. 3 * 2**30 and 3 * 2**61 reject a quarter of
+    # their values, the last two ints start on a waiting half, and the
+    # state keeps the half that is still waiting.
+    raw, ints, wide, wider, uniforms, last, used, half = _RAW_PINS[seed]
+    assert np.random.PCG64(seed).random_raw(3).tolist() == raw
+    # Lemire maps the low half of the first output first, then its high half
+    assert [(raw[0] & 0xFFFFFFFF) * 7 >> 32, (raw[0] >> 32) * 7 >> 32] == ints[:2]
+    bg = np.random.PCG64(seed)
+    draws = _Replay([bg], np.zeros(1, dtype=np.int64))
+    assert draws.ints(np.array([[3, 8, 3]]),
+                      np.array([[7, 3 * 2**30, 2**32]])).tolist() == ints
+    assert draws.integers(0, 0, 2**40 + 7, 3) == wide
+    assert draws.integers(0, 0, 3 * 2**61, 5) == wider
+    assert draws.uniforms(np.array([3])).tolist() == uniforms
+    assert draws.ints(np.array([[2]]), np.array([[7]])).tolist() == last
+    draws.settle()
+    state = bg.state
+    assert state["state"] == np.random.PCG64(seed).advance(used).state["state"]
+    assert (state["has_uint32"], state["uinteger"]) == (1, half)
+
+
+class _RawOnly(np.random.Generator):
+    """A PCG64 Generator whose own draws fail: only its raw output may be read."""
+
+    def integers(self, *args, **kwargs):
+        raise AssertionError("dins drew through Generator.integers")
+
+    def random(self, *args, **kwargs):
+        raise AssertionError("dins drew through Generator.random")
+
+
+def test_sampling_never_calls_generator_draws(monkeypatch):
+    # Every strategy, one batch at a time and over a whole graph, and every
+    # evaluation category sample from raw output alone, as they do from a
+    # plain Generator on the same stream.
+    g = _six_nodes(bins=400)     # long enough for every h probe to land
+    cfg = SamplerConfig(k=100, q=3, t_f=12, seed=0)
+    blocks = batches(g, cfg.k)
+    runs = [(name, mode) for name in STRATEGIES
+            for mode in (("batch", "per-t") if name in ("dins", "loops") else ("batch",))]
+    for name, mode in runs:
+        kw = {"pool_mode": mode} if name in ("dins", "loops") else {}
+        for batch in blocks:
+            rng = _RawOnly(batch_rng(0, batch.index).bit_generator)
+            got = STRATEGIES[name](batch, g, cfg, rng, **kw)
+            assert got.samples == STRATEGIES[name](batch, g, cfg, batch_rng(0, batch.index),
+                                                   **kw).samples
+    plain = {run: [ss.samples for ss in sample_batches(g, run[0], cfg, pool_mode=run[1])]
+             for run in runs}
+    monkeypatch.setattr(sampling, "derive_rngs", lambda seed, keys: [
+        _RawOnly(rng.bit_generator) for rng in derive_rngs(seed, keys)])
+    for run, want in plain.items():
+        got = [ss.samples for ss in sample_batches(g, run[0], cfg, pool_mode=run[1])]
+        assert got == want and sum(map(len, got)) > 0
+    (everything,) = batches(g, g.m)
+    for i, category in enumerate(EVAL_NEGATIVE_CATEGORIES):
+        got = build_eval_set(everything, g, g.history, category,
+                             _RawOnly(derive_rng(0, i).bit_generator))
+        want = build_eval_set(everything, g, g.history, category, derive_rng(0, i))
+        assert got.samples == want.samples and len(got) > 0
 
 
 def test_derive_rngs_equal_derive_rng():
@@ -687,6 +770,25 @@ def test_sample_set_columns_and_view(tiny_graph):
         assert all(s.label == (POS if s.category in (OBSERVED, POSITIVE_ENHANCEMENT)
                                else NEG) for s in view)
         assert ss.by_category() == Counter(s.category for s in view)
+
+
+def test_a_huge_t_f_caps_the_window_at_the_batch_end():
+    # t + t_f used to wrap around in int64 and empty the window: every t_f
+    # past the batch's last bin must give the stream of a window that ends
+    # there, up to the largest that SamplerConfig takes
+    g = build_graph(multi_month_records(40, 200, 2, seed=1))
+    streams = [[(ss.samples, ss.tallies) for ss in sample_batches(
+        g, "temporal", SamplerConfig(t_f=t_f, seed=0))] for t_f in (10**9, 2**62, 2**63 - 1)]
+    assert streams[0] == streams[1] == streams[2]
+    assert sum(len(s) for s, _ in streams[0]) == 5 * g.m - 5     # a shortfall of 5
+
+
+@pytest.mark.parametrize("name", ["q", "t_f", "k"])
+def test_sampler_settings_past_int64_are_rejected(name):
+    # they raised OverflowError from inside sampling instead
+    with pytest.raises(ValueError, match=rf"^{name} must be >= 1 and below 2\*\*63$"):
+        SamplerConfig(**{name: 2**63})
+    assert getattr(SamplerConfig(**{name: 2**63 - 1}), name) == 2**63 - 1
 
 
 def test_unknown_strategy_rejected(tiny_graph):
