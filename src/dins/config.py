@@ -114,6 +114,8 @@ class SamplerConfig:
             raise ValueError("t_f must be >= 1 and below 2**63")
         if not 1 <= self.k < 2**63:
             raise ValueError("k must be >= 1 and below 2**63")
+        if (self.q + 2) * self.k + 16 >= 2**63:     # a batch's draw count, in int64
+            raise ValueError("q and k must keep (q + 2) * k + 16 below 2**63")
         if self.seed < 0:
             raise ValueError("seed must be non-negative")
 

@@ -87,10 +87,11 @@ class NodeRegistry:
 
 @dataclass(frozen=True)
 class EdgeBlock:
-    """Parallel edge arrays without their own registry.
+    """Parallel edge arrays without their own registry, kept as given.
 
-    Used for validation/test partitions of a split; ids refer to the
-    registry of the training graph they were carved from.
+    Used for validation/test partitions of a split, as read-only slices of
+    :func:`binned` output; ids refer to the registry of the training graph
+    they were carved from.
     """
 
     src: np.ndarray
@@ -106,27 +107,39 @@ class EdgeBlock:
         return cls(_EMPTY_I64, _EMPTY_I64, _EMPTY_I64, _EMPTY_I64)
 
 
-def _owned_readonly(a, dtype=np.int64) -> np.ndarray:
-    out = np.array(a, dtype=dtype, copy=True)
-    out.setflags(write=False)
-    return out
+def _freeze(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Mark arrays that no one else holds read-only, with the arrays they view."""
+    for a in arrays:
+        while type(a) is np.ndarray:
+            a.setflags(write=False)
+            a = a.base
+    return arrays
+
+
+def _readonly(a) -> np.ndarray:
+    """``a`` if C-contiguous int64 and read-only down its ``.base`` chain, else a read-only copy."""
+    base = a
+    while type(base) is np.ndarray and not base.flags.writeable:
+        base = base.base
+    if base is None and a.dtype == np.int64 and a.flags.c_contiguous:
+        return a
+    return _freeze(np.array(a, dtype=np.int64))[0]
 
 
 class DynamicGraph:
     """Immutable directed temporal edge multiset.
 
     ``src``, ``dst``, ``t`` (bin) and ``raw`` (epoch seconds) are
-    parallel read-only int64 arrays, stably sorted by bin. Duplicate
-    records are kept; they are distinct members of the multiset.
+    parallel read-only int64 arrays, stably sorted by bin; an argument
+    that is C-contiguous int64 and read-only down its ``.base`` chain is
+    kept as it is, any other copied once. Duplicate records are kept;
+    they are distinct members of the multiset.
     """
 
     def __init__(self, registry: NodeRegistry, src, dst, t, raw,
                  bin_width_seconds: int, raw_anchor: int):
         self.registry = registry
-        self.src = _owned_readonly(src)
-        self.dst = _owned_readonly(dst)
-        self.t = _owned_readonly(t)
-        self.raw = _owned_readonly(raw)
+        self.src, self.dst, self.t, self.raw = map(_readonly, (src, dst, t, raw))
         self.bin_width_seconds = int(bin_width_seconds)
         self.raw_anchor = int(raw_anchor)
         m = self.src.size
@@ -170,11 +183,11 @@ def utc(raw, unit: str) -> np.ndarray:
 
 def binned(src: np.ndarray, dst: np.ndarray, raw: np.ndarray, anchor: int,
            width: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """``(src, dst, bin, raw)`` with ``bin = (raw - anchor) // width``, all
-    four stably sorted by bin (edges in one bin keep their order)."""
+    """``(src, dst, bin, raw)`` with ``bin = (raw - anchor) // width``, all four
+    new, read-only and stably sorted by bin (edges in one bin keep their order)."""
     bins = (raw - anchor) // width
     order = np.argsort(bins, kind="stable")
-    return src[order], dst[order], bins[order], raw[order]
+    return _freeze(src[order], dst[order], bins[order], raw[order])
 
 
 def build_graph(records: Iterable[tuple], bin_width_seconds: int = 300) -> DynamicGraph:
@@ -305,9 +318,7 @@ class HistoryIndex:
     """
 
     def __init__(self, src, dst, t, n_nodes: int):
-        src = np.asarray(src, dtype=np.int64)
-        dst = np.asarray(dst, dtype=np.int64)
-        t = np.asarray(t, dtype=np.int64)
+        src, dst, t = (np.asarray(c, dtype=np.int64) for c in (src, dst, t))
         self.n_nodes = int(n_nodes)
         self.n_edges = int(src.size)
         n = max(self.n_nodes, 1)
@@ -317,13 +328,14 @@ class HistoryIndex:
 
         key = src * n + dst
         order = np.lexsort((t, key))
-        keys_sorted = key[order]
+        key = key[order]        # sorted; the unsorted keys go at once
         self._ts_by_pair = np.ascontiguousarray(t[order])
         # a pair's block starts wherever the sorted key changes
-        cut = np.ones(keys_sorted.size + 1, dtype=bool)
-        np.not_equal(keys_sorted[1:], keys_sorted[:-1], out=cut[1:-1])
+        cut = np.ones(key.size + 1, dtype=bool)
+        np.not_equal(key[1:], key[:-1], out=cut[1:-1])
         self._offsets = np.flatnonzero(cut)
-        self._pair_keys = keys_sorted[self._offsets[:-1]]
+        self._pair_keys = key[self._offsets[:-1]]
+        del key, cut            # freed before the loop history makes its temporaries
         # Edge positions in the same pair-major order as _ts_by_pair;
         # edges are sorted by bin, so positions ascend within each pair.
         self._edge_by_pair = order

@@ -32,7 +32,7 @@ from typing import Iterable, Iterator, Mapping, Sequence, Union
 
 import numpy as np
 
-from .graph import (_UTC_SECONDS, DynamicGraph, EdgeBlock, IngestError, NodeRegistry,
+from .graph import (_UTC_SECONDS, DynamicGraph, EdgeBlock, IngestError, NodeRegistry, _freeze,
                     binned, build_graph)
 from .sampling import _LABEL_OF, VOCABULARY, SampleSet
 from .split import MonthlySplit, WindowSpec, sparse_month_mask
@@ -374,7 +374,7 @@ def load_graph(path: PathLike) -> DynamicGraph:
         if int(z["format"]) != _CACHE_FORMAT:
             raise IngestError(f"{path}: unsupported cache format {int(z['format'])}")
         registry = NodeRegistry(str(name) for name in z["names"])
-        return DynamicGraph(registry, z["src"], z["dst"], z["t"], z["raw"],
+        return DynamicGraph(registry, *_freeze(z["src"], z["dst"], z["t"], z["raw"]),
                             int(z["bin_width_seconds"]), int(z["raw_anchor"]))
 
 

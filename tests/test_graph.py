@@ -2,16 +2,21 @@
 
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dins import (DynamicGraph, IngestError, NodeRegistry, SamplerConfig, batches,
-                  build_graph, sample_batches, stats, subgraph)
+                  build_graph, load_graph, make_split, monthly_schedule, sample_batches,
+                  save_graph, stats, subgraph)
+from dins import graph as graph_module
+from dins import sample_io, split
 from dins.config import derive_rng
 from dins.graph import HistoryIndex
-from dins.synthetic import random_records
+from dins.synthetic import multi_month_records, random_graph, random_records
 
 from conftest import (first_seen_map, graphs, loop_first_map, pair_times_map,
                       record_lists, triple_set)
@@ -85,6 +90,104 @@ def test_arrays_are_immutable(tiny_graph):
     for arr in (tiny_graph.src, tiny_graph.dst, tiny_graph.t, tiny_graph.raw):
         with pytest.raises(ValueError):
             arr[0] = 99
+
+
+def _columns(g):
+    return g.src, g.dst, g.t, g.raw
+
+
+def _rewrap(g, *arrays):
+    return DynamicGraph(g.registry, *(arrays or _columns(g)), g.bin_width_seconds, g.raw_anchor)
+
+
+def test_read_only_int64_arrays_are_taken_without_a_copy(tiny_graph):
+    for again in (_rewrap(tiny_graph), _rewrap(_rewrap(tiny_graph))):
+        assert all(a is b for a, b in zip(_columns(again), _columns(tiny_graph)))
+    # a slice of a graph's arrays is read-only all the way down too
+    head = _rewrap(tiny_graph, *(c[:4] for c in _columns(tiny_graph)))
+    assert head.m == 4
+    assert all(np.shares_memory(a, b) for a, b in zip(_columns(head), _columns(tiny_graph)))
+
+
+def test_graphs_and_split_blocks_keep_what_binned_returned(monkeypatch):
+    made, binned = [], graph_module.binned
+
+    def spy(*args):
+        made.append(binned(*args))
+        return made[-1]
+
+    monkeypatch.setattr(graph_module, "binned", spy)
+    monkeypatch.setattr(split, "binned", spy)
+    g = build_graph(multi_month_records(40, 200, 2, seed=1))
+    assert all(a is b for a, b in zip(_columns(g), made[0]))
+    sub, _ = subgraph(g, np.arange(0, g.m, 3))
+    assert all(np.shares_memory(a, b) for a, b in zip(_columns(sub), made[1]))
+    s = make_split(g, *monthly_schedule(g))
+    assert all(np.shares_memory(a, b) for a, b in zip(_columns(s.train), made[2]))
+    for block in (s.val, s.test):
+        assert len(block) and all(np.shares_memory(a, b)
+                                  for a, b in zip(_columns(block), made[3]))
+    assert not any(a.flags.writeable for out in made for a in out)
+
+
+def test_load_graph_keeps_the_arrays_it_reads(tiny_graph, tmp_path, monkeypatch):
+    given_arrays = []
+
+    class Spy(DynamicGraph):
+        def __init__(self, registry, *rest):
+            given_arrays.extend(rest[:4])
+            super().__init__(registry, *rest)
+
+    monkeypatch.setattr(sample_io, "DynamicGraph", Spy)
+    save_graph(tmp_path / "g.npz", tiny_graph)
+    g = load_graph(tmp_path / "g.npz")
+    assert all(a is b for a, b in zip(_columns(g), given_arrays))
+    assert all(np.array_equal(a, b) for a, b in zip(_columns(g), _columns(tiny_graph)))
+
+
+def test_arrays_that_could_change_are_copied(tiny_graph):
+    cols = [c.copy() for c in _columns(tiny_graph)]           # writable
+    views = []                                                 # read-only views of them
+    for c in cols:
+        views.append(c.view())
+        views[-1].setflags(write=False)
+    for g in (_rewrap(tiny_graph, *cols), _rewrap(tiny_graph, *views)):
+        assert not any(np.shares_memory(a, c) for a, c in zip(_columns(g), cols))
+        assert not any(a.flags.writeable for a in _columns(g))
+    kept = _rewrap(tiny_graph, *views)
+    for c in cols:
+        c[:] = 99
+    assert all(np.array_equal(a, b) for a, b in zip(_columns(kept), _columns(tiny_graph)))
+
+
+def test_other_dtypes_and_strides_are_copied(tiny_graph):
+    narrow = [c.astype(np.int32) for c in _columns(tiny_graph)]
+    doubled = [np.repeat(c, 2) for c in _columns(tiny_graph)]
+    for a in narrow + doubled:
+        a.setflags(write=False)
+    for arrays in (narrow, [d[::2] for d in doubled]):
+        g = _rewrap(tiny_graph, *arrays)
+        for a, given, want in zip(_columns(g), arrays, _columns(tiny_graph)):
+            assert a.dtype == np.int64 and a.flags.c_contiguous and not a.flags.writeable
+            assert not np.shares_memory(a, given) and np.array_equal(a, want)
+
+
+def test_rewrapping_and_indexing_a_graph_hold_their_memory_down():
+    # tracemalloc sees every NumPy buffer, so these byte counts are exact
+    g = random_graph(10_000, 200_000, seed=0)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        again = _rewrap(g)
+        kept = tracemalloc.get_traced_memory()[0] - before
+        tracemalloc.reset_peak()
+        HistoryIndex(g.src, g.dst, g.t, g.n)
+        peak = tracemalloc.get_traced_memory()[1] - before - kept
+    finally:
+        tracemalloc.stop()
+    assert again.m == g.m
+    assert kept / g.m < 1           # a copy of the four arrays keeps 32 B per edge
+    assert peak / g.m <= 52         # the index build peaked at 57.9 B per edge
 
 
 def test_registry_roundtrip():

@@ -788,7 +788,23 @@ def test_sampler_settings_past_int64_are_rejected(name):
     # they raised OverflowError from inside sampling instead
     with pytest.raises(ValueError, match=rf"^{name} must be >= 1 and below 2\*\*63$"):
         SamplerConfig(**{name: 2**63})
-    assert getattr(SamplerConfig(**{name: 2**63 - 1}), name) == 2**63 - 1
+    # q and k are bounded further by a batch's draw count (q + 2) * k + 16, at
+    # the defaults q=5 and k=1000
+    largest = {"q": (2**63 - 17) // 1000 - 2, "t_f": 2**63 - 1, "k": (2**63 - 17) // 7}[name]
+    assert getattr(SamplerConfig(**{name: largest}), name) == largest
+
+
+def test_a_q_that_wraps_a_batch_draw_count_is_rejected():
+    # q * k used to wrap around in int64: this graph's temporal tally read -6
+    g = build_graph([("a", "b", 0), ("b", "c", 300), ("c", "d", 600), ("d", "a", 900)])
+    (ss,) = sample_batches(g, "temporal", SamplerConfig(q=5, k=4, t_f=10))
+    assert ss.tallies == Counter(temporal_shortfall=14)
+    largest = (2**63 - 17) // 4 - 2
+    assert SamplerConfig(q=largest, k=4).q == largest
+    for q in (largest + 1, 2**62):
+        with pytest.raises(ValueError,
+                           match=r"^q and k must keep \(q \+ 2\) \* k \+ 16 below 2\*\*63$"):
+            SamplerConfig(q=q, k=4, t_f=10)
 
 
 def test_unknown_strategy_rejected(tiny_graph):
