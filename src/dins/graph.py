@@ -49,10 +49,9 @@ class NodeRegistry:
     __slots__ = ("_names", "_ids")
 
     def __init__(self, names: Iterable[str] = ()):
-        self._names: list[str] = []
-        self._ids: dict[str, int] = {}
-        for name in names:
-            self.intern(name)
+        # as interning each name in turn: a repeat keeps its first id
+        self._names: list[str] = list(dict.fromkeys(names))
+        self._ids: dict[str, int] = {name: i for i, name in enumerate(self._names)}
 
     def intern(self, name: str) -> int:
         """Return the id for ``name``, assigning the next free id if new."""
@@ -245,7 +244,8 @@ def subgraph(parent: DynamicGraph, indices: np.ndarray) -> tuple[DynamicGraph, n
     uniq, first_pos = np.unique(seq, return_index=True)
     old_of_new = uniq[np.argsort(first_pos, kind="stable")]
     new_of_old[old_of_new] = np.arange(old_of_new.size, dtype=np.int64)
-    registry = NodeRegistry(parent.registry.name_of(int(o)) for o in old_of_new)
+    names = parent.registry.names()
+    registry = NodeRegistry([names[o] for o in old_of_new.tolist()])
     width = parent.bin_width_seconds
     anchor = int(raw.min()) if raw.size else 0
     g = DynamicGraph(registry, *binned(new_of_old[s], new_of_old[d], raw, anchor, width),

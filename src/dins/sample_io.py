@@ -127,10 +127,9 @@ def sample_keys(src: np.ndarray, dst: np.ndarray, t: np.ndarray, code: np.ndarra
 
 
 # A sample record as ``json.dumps`` writes it: ids are integers, and
-# labels and categories are plain names. The tail after the ids is baked
-# once per batch for each category code.
-_SAMPLE_HEAD = '{"src": %d, "dst": %d, "t": %d, '
-_SAMPLE_TAIL = '"label": "%s", "category": "%s", "batch": %d'
+# labels and categories are plain names. The tail after the ids is built
+# once per set for each category code, and each line is one f-string,
+# which formats faster than a ``%`` template.
 _LABELLED = list(zip(_LABEL_OF.tolist(), VOCABULARY))
 
 
@@ -141,34 +140,32 @@ def write_samples_jsonl(path: PathLike, sets: Iterable[SampleSet],
     n = 0
     n_batches = 0
     tallies: dict[str, int] = {}
-    if with_keys:
-        line, end = _SAMPLE_HEAD + '%s%s"}\n', ', "key": "'
-    else:
-        line, end = _SAMPLE_HEAD + "%s", "}\n"
     with atomic_open(path) as fh:
         for ss in sets:
             n_batches += 1
-            tails = [_SAMPLE_TAIL % (label, cat, ss.origin_batch) + end
+            tails = [f'"label": "{label}", "category": "{cat}", "batch": {ss.origin_batch}'
                      for label, cat in _LABELLED]
-            columns = [ss.src.tolist(), ss.dst.tolist(), ss.t.tolist(),
-                       list(map(tails.__getitem__, ss.code.tolist()))]
+            columns = (ss.src.tolist(), ss.dst.tolist(), ss.t.tolist(), ss.code.tolist())
             if with_keys:
-                columns.append(sample_keys(ss.src, ss.dst, ss.t, ss.code))
-            fh.write("".join(map(line.__mod__, zip(*columns))))
+                lines = [f'{{"src": {s}, "dst": {d}, "t": {u}, {tails[c]}, "key": "{key}"}}\n'
+                         for s, d, u, c, key in zip(
+                             *columns, sample_keys(ss.src, ss.dst, ss.t, ss.code))]
+            else:
+                lines = [f'{{"src": {s}, "dst": {d}, "t": {u}, {tails[c]}}}\n'
+                         for s, d, u, c in zip(*columns)]
+            fh.write("".join(lines))
             n += len(ss)
             for k, v in ss.tallies.items():
                 tallies[k] = tallies.get(k, 0) + int(v)
     return {"n_samples": n, "n_batches": n_batches, "tallies": tallies}
 
 
-# An eval record as ``json.dumps(rec, sort_keys=True)`` writes it.
-_EVAL_LINE = ('{"batch": %(batch)d, "category": "%(category)s", "dst": %(dst)d, '
-              '"key": "%(key)s", "label": "%(label)s", "src": %(src)d, "t": %(t)d}\n')
-
-
 def eval_lines(records: Iterable[dict]) -> str:
-    """The JSON-lines text of eval records (see ``evaluation.eval_records``)."""
-    return "".join(map(_EVAL_LINE.__mod__, records))
+    """The JSON-lines text of eval records (see ``evaluation.eval_records``),
+    each line as ``json.dumps(rec, sort_keys=True)`` writes it."""
+    return "".join([f'{{"batch": {r["batch"]}, "category": "{r["category"]}", '
+                    f'"dst": {r["dst"]}, "key": "{r["key"]}", "label": "{r["label"]}", '
+                    f'"src": {r["src"]}, "t": {r["t"]}}}\n' for r in records])
 
 
 # Both readers try the C scanner on each raw line and take its value when
@@ -236,6 +233,14 @@ def read_samples_jsonl(path: PathLike) -> list[dict]:
 
 
 def write_scores_jsonl(path: PathLike, scores: Mapping[str, float]) -> None:
+    """Write key -> score lines that ``read_scores_jsonl`` reads back; a
+    key that is not a string or a score that is not finite raises
+    ``ValueError`` naming the key before any file is made."""
+    for key, score in scores.items():
+        if not isinstance(key, str):
+            raise ValueError(f"score key {key!r} is not a string")
+        if not math.isfinite(score):
+            raise ValueError(f"score of key {key!r} is not finite ({score})")
     with atomic_open(path) as fh:
         for key, score in scores.items():
             fh.write(json.dumps({"key": key, "score": float(score)}))

@@ -990,12 +990,14 @@ def sample_batches(graph: DynamicGraph, strategy: str, config: SamplerConfig,
                          f"choose from {sorted(STRATEGIES)}")
     k, m = config.k, graph.m
     step = max(1, RUN_EDGES // k)
+    # only temporal sampling draws q uniforms per edge; more is read on demand
+    q = config.q if "temporal" in _MECHANISMS[strategy] else 0
     for first in range(0, (m + k - 1) // k, step):
         indices = list(range(first, min(first + step, (m + k - 1) // k)))
         lo, hi = first * k, min((indices[-1] + 1) * k, m)
         sizes = np.minimum(k, m - np.array(indices) * k)
         rngs = derive_rngs(config.seed, indices)          # batch_rng of each
-        draws = _Replay([rng.bit_generator for rng in rngs], (config.q + 2) * sizes + 16)
+        draws = _Replay([rng.bit_generator for rng in rngs], (q + 2) * sizes + 16)
         packed = _sample_run(_Run(graph, draws, graph.src[lo:hi], graph.dst[lo:hi],
                                   graph.t[lo:hi], sizes, indices),
                              config, strategy, pool_mode, include_positives)

@@ -7,6 +7,7 @@ import io
 import json
 import math
 import os
+import re
 import tempfile
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
@@ -188,6 +189,18 @@ def test_scores_jsonl_roundtrip_and_errors(tmp_path):
     path.write_text('{"key": "aa", "score": 0.5}\n{"key": "bb"}\n')
     with pytest.raises(IngestError, match="line 2"):
         read_scores_jsonl(path)
+
+
+@pytest.mark.parametrize("scores, problem", [
+    ({"a": math.nan, 5: 0.5}, "score of key 'a' is not finite (nan)"),
+    ({"a": 0.5, "b": -math.inf}, "score of key 'b' is not finite (-inf)"),
+    ({"a": 0.5, 5: 0.5}, "score key 5 is not a string"),
+])
+def test_scores_writer_rejects_what_its_reader_would(tmp_path, scores, problem):
+    # it wrote these, and read_scores_jsonl then refused its own file
+    with pytest.raises(ValueError, match=re.escape(problem)):
+        write_scores_jsonl(tmp_path / "scores.jsonl", scores)
+    assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize("bad", ["NaN", "Infinity", "-Infinity"])

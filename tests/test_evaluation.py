@@ -18,6 +18,7 @@ from dins import (EVAL_NEGATIVE_CATEGORIES, H_OFFSETS, EvalReport,
 from dins.config import SamplerConfig
 from dins.evaluation import eval_records, positives_of
 from dins.graph import EdgeBlock, batches
+from dins.sample_io import eval_lines
 from dins.sampling import NEG, POS, sample_negative_loops
 from dins.split import window_pairs
 from dins.synthetic import multi_month_records
@@ -353,6 +354,30 @@ def test_mapping_scores_must_be_finite(case):
     with pytest.raises(ValueError, match=f"must return {n} finite scores; "
                                          f"it returned {n}, {not_finite} not finite"):
         evaluate_sets(split.test, sets, mapping, seed=0)
+
+
+def test_eval_records_are_dicts_whose_sorted_json_is_the_export():
+    """perfbench's score-interchange set-up iterates ``eval_records`` and
+    writes each record with ``json.dumps(rec, sort_keys=True)``, and its
+    pinned seed-0 digest holds only while those lines are the export's."""
+    g = build_graph(multi_month_records(60, 300, 2, seed=2))
+    split = make_split(g, *window_pairs(monthly_schedule(g))[0])
+    index = combined_index(split.train, split.val, split.test)
+    records = eval_records(split.test, build_eval_sets(split.test, split.train, index, seed=0))
+    assert type(records) is list and all(type(rec) is dict for rec in records)
+    assert records and eval_lines(records) == "".join(
+        json.dumps(rec, sort_keys=True) + "\n" for rec in records)
+
+
+def test_eval_lines_of_a_split_with_an_empty_category():
+    g, test, index = eval_fixture(test_edges=[("a", "b", 100), ("a", "b", 172)])
+    sets = build_eval_sets(test, g, index, seed=0)
+    assert len(sets["h6"]) == 0 and len(sets["loop"]) > 0
+    records = eval_records(test, sets)
+    assert "h6" not in {rec["category"] for rec in records} >= {"observed", "loop"}
+    assert eval_lines(records) == "".join(json.dumps(rec, sort_keys=True) + "\n"
+                                          for rec in records)
+    assert eval_lines([]) == ""
 
 
 def test_single_class_category_raises_with_context():

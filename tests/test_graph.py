@@ -204,6 +204,20 @@ def test_registry_roundtrip():
         reg.id_of("z")
 
 
+@pytest.mark.parametrize("names", [[], ["b", "a", "b", "c", "a", "d", "c"]])
+@pytest.mark.parametrize("given_as", [list, lambda names: (name for name in names)])
+def test_registry_from_names_equals_interning_them_in_turn(names, given_as):
+    # a repeated name keeps its first id, and names keep first-appearance order
+    interned = NodeRegistry()
+    ids = [interned.intern(name) for name in names]
+    reg = NodeRegistry(given_as(names))
+    assert reg.names() == interned.names()
+    assert [reg.id_of(name) for name in names] == ids
+    assert [reg.name_of(i) for i in range(len(reg))] == interned.names()
+    assert len(reg) == len(interned)
+    assert reg.intern("new") == len(interned)
+
+
 @given(record_lists())
 @settings(max_examples=60, deadline=None)
 def test_build_graph_is_sorted_and_lossless(records):
@@ -254,6 +268,18 @@ def test_subgraph_reinterns_and_reanchors(tiny_graph):
     assert sub.registry.names() == ["c", "b", "a"]
     # mapping: old a=0 -> 2, b=1 -> 1, c=2 -> 0
     assert new_of_old.tolist() == [2, 1, 0]
+
+
+def test_subgraph_registry_names_nodes_as_first_seen_in_its_edges():
+    g = build_graph(random_records(60, 400, seed=4))
+    indices = np.arange(1, g.m, 3)
+    sub, new_of_old = subgraph(g, indices)
+    interned = NodeRegistry()
+    for s, d in zip(g.src[indices].tolist(), g.dst[indices].tolist()):
+        interned.intern(g.registry.name_of(s))
+        interned.intern(g.registry.name_of(d))
+    assert sub.registry.names() == interned.names()
+    assert [sub.registry.get(name, -1) for name in g.registry.names()] == new_of_old.tolist()
 
 
 def test_subgraph_marks_absent_nodes(tiny_graph):

@@ -807,6 +807,17 @@ def test_a_q_that_wraps_a_batch_draw_count_is_rejected():
             SamplerConfig(q=q, k=4, t_f=10)
 
 
+def test_read_ahead_counts_q_only_where_temporal_sampling_draws_it():
+    # random draws no temporal uniforms; reading q per edge ahead anyway
+    # asked for 2**52 outputs (32 PiB) here before the first draw
+    g = build_graph([("a", "b", 0), ("b", "c", 300), ("c", "d", 600), ("d", "a", 900)])
+    streams = [[(ss.src.tolist(), ss.dst.tolist(), ss.t.tolist(), ss.code.tolist(), ss.tallies)
+                for ss in sample_batches(g, "random", SamplerConfig(q=q, k=4))]
+               for q in (5, 2**50)]
+    assert streams[0] == streams[1]
+    assert sum(len(src) for src, *_ in streams[0]) == 4
+
+
 def test_unknown_strategy_rejected(tiny_graph):
     with pytest.raises(ValueError, match="unknown strategy"):
         list(sample_batches(tiny_graph, "nope", SamplerConfig()))
