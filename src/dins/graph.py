@@ -297,14 +297,42 @@ def batches(graph: DynamicGraph, k: int) -> list[Batch]:
     return out
 
 
+def _pair_major(key: np.ndarray, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``(order, key[order])`` with ``order`` exactly ``np.lexsort((t, key))``.
+
+    An unstable argsort ranks the keys; the values ``rank * m + position``
+    are distinct (and below m**2), so one in-place sort of them is the
+    stable order. Bins out of step with position are first ranked by
+    (bin, position), and that rank stands in for the position.
+    """
+    m = key.size
+    by_bin = None
+    if m and (t[1:] < t[:-1]).any():
+        by_bin = np.argsort(t, kind="stable")
+        key = key[by_bin]
+    o = np.argsort(key)
+    key = key[o]
+    c = np.zeros(m, dtype=np.int64)
+    np.cumsum(key[1:] != key[:-1], out=c[1:])
+    c *= m
+    c += o
+    del o
+    c.sort()
+    c %= m
+    return (c if by_bin is None else by_bin[c]), key
+
+
 class HistoryIndex:
     """Occurrence lookups over a fixed edge multiset.
 
-    Edges are regrouped pair-major. ``_pair_keys`` holds the distinct
-    directed pairs, encoded ``src * n + dst`` and sorted; a pair's row is
-    its position there. Row ``r`` owns the block
-    ``_offsets[r]:_offsets[r + 1]`` of ``_ts_by_pair`` (its occurrence
-    bins, ascending) and of ``edge_by_pair`` (their edge positions).
+    Edges are regrouped pair-major, in (pair, bin, position) order.
+    ``_pair_keys`` holds the distinct directed pairs, encoded
+    ``src * n + dst`` and sorted; a pair's row is its position there.
+    Row ``r`` owns the block ``_offsets[r]:_offsets[r + 1]`` of
+    ``_ts_by_pair`` (its occurrence bins, ascending) and of
+    ``edge_by_pair`` (their edge positions, ascending within a bin, and
+    within the block wherever bins ascend with position, as they do for
+    every graph and split index).
     A lookup resolves each probe's pair to its row once, searching the
     probes in ascending key order, and answers every bin question with
     a binary search inside that row's block; there is no joint
@@ -326,18 +354,16 @@ class HistoryIndex:
             raise ValueError(f"{n} nodes: pair keys src * n + dst overflow int64")
         self._enc_n = n
 
-        key = src * n + dst
-        order = np.lexsort((t, key))
-        key = key[order]        # sorted; the unsorted keys go at once
-        self._ts_by_pair = np.ascontiguousarray(t[order])
+        # only the helper holds the unsorted keys, so they go once sorted
+        order, key = _pair_major(src * n + dst, t)
+        self._ts_by_pair = t[order]
         # a pair's block starts wherever the sorted key changes
         cut = np.ones(key.size + 1, dtype=bool)
         np.not_equal(key[1:], key[:-1], out=cut[1:-1])
         self._offsets = np.flatnonzero(cut)
         self._pair_keys = key[self._offsets[:-1]]
         del key, cut            # freed before the loop history makes its temporaries
-        # Edge positions in the same pair-major order as _ts_by_pair;
-        # edges are sorted by bin, so positions ascend within each pair.
+        # edge positions in the same (pair, bin, position) order as _ts_by_pair
         self._edge_by_pair = order
         self._prior = None      # see _prior_order
 
@@ -404,7 +430,9 @@ class HistoryIndex:
 
     @property
     def edge_by_pair(self) -> np.ndarray:
-        """Edge positions aligned with the bounds of :meth:`window_bounds`."""
+        """Edge positions aligned with the bounds of :meth:`window_bounds`, in
+        (pair, bin, position) order: ascending within a pair wherever bins
+        ascend with position, as in every graph and split index."""
         return self._edge_by_pair
 
     @property
@@ -417,7 +445,7 @@ class HistoryIndex:
 
         Returns parallel ``starts, stops``: the occurrence bins of row i are
         ``bins_by_pair[starts[i]:stops[i]]`` and their edge positions are
-        ``edge_by_pair[starts[i]:stops[i]]``, both ascending. Rows whose
+        ``edge_by_pair[starts[i]:stops[i]]``, ordered by (bin, position). Rows whose
         pair never occurs, or whose window is empty, get ``starts == stops``.
         ``his=None`` leaves every window open to the pair's last bin; with
         ``rows`` from :meth:`pair_rows` given, ``us`` and ``vs`` are not read.

@@ -9,6 +9,7 @@ import math
 import os
 import re
 import tempfile
+import zipfile
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
@@ -532,18 +533,28 @@ def test_readers_name_the_line_that_is_not_utf8(months_csv, tmp_path, monkeypatc
 
 
 def test_graph_npz_roundtrip(tmp_path):
-    g = build_graph([("a", "b", 17), ("b", "b", 451), ("c", "a", 1000)],
+    g = build_graph([("a", "b", 17), ("b", "b", 451), ("c\u00e9", "a", 1000)],
                     bin_width_seconds=60)
     path = tmp_path / "g.npz"
     save_graph(path, g)
-    h = load_graph(path)
-    assert h.n == g.n and h.m == g.m
-    assert h.bin_width_seconds == 60 and h.raw_anchor == g.raw_anchor
-    np.testing.assert_array_equal(h.src, g.src)
-    np.testing.assert_array_equal(h.dst, g.dst)
-    np.testing.assert_array_equal(h.t, g.t)
-    np.testing.assert_array_equal(h.raw, g.raw)
-    assert h.registry.names() == g.registry.names()
+    members = ("format", "src", "dst", "t", "raw", "names", "bin_width_seconds", "raw_anchor")
+    with zipfile.ZipFile(path) as zf:
+        assert sorted(zf.namelist()) == sorted(f"{name}.npy" for name in members)
+        assert {info.compress_type for info in zf.infolist()} == {zipfile.ZIP_DEFLATED}
+    # caches written before by np.savez_compressed load alike
+    old = tmp_path / "old.npz"
+    np.savez_compressed(old, format=np.int64(1), src=g.src, dst=g.dst, t=g.t, raw=g.raw,
+                        names=np.asarray(g.registry.names(), dtype=str),
+                        bin_width_seconds=np.int64(60), raw_anchor=np.int64(g.raw_anchor))
+    for h in (load_graph(path), load_graph(old)):
+        assert h.n == g.n and h.m == g.m
+        assert h.bin_width_seconds == 60 and h.raw_anchor == g.raw_anchor
+        np.testing.assert_array_equal(h.src, g.src)
+        np.testing.assert_array_equal(h.dst, g.dst)
+        np.testing.assert_array_equal(h.t, g.t)
+        np.testing.assert_array_equal(h.raw, g.raw)
+        assert h.registry.names() == g.registry.names()
+        assert all(type(name) is str for name in h.registry.names())
 
 
 def test_edge_csv_error_cites_line_number(tmp_path):

@@ -6,7 +6,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dins import (DynamicGraph, IngestError, NodeRegistry, SamplerConfig, batches,
@@ -188,6 +188,26 @@ def test_rewrapping_and_indexing_a_graph_hold_their_memory_down():
     assert again.m == g.m
     assert kept / g.m < 1           # a copy of the four arrays keeps 32 B per edge
     assert peak / g.m <= 52         # the index build peaked at 57.9 B per edge
+
+
+@pytest.mark.parametrize("bins_sorted", [True, False])
+def test_indexing_dense_edges_holds_its_memory_down(bins_sorted):
+    # six nodes, so the pair keys tie in long runs; bins out of order take
+    # the index build's (bin, position) ranking as well
+    rng = np.random.default_rng(0)
+    m = 200_000
+    src, dst = rng.integers(0, 6, (2, m))
+    t = rng.integers(0, 5_000, m)
+    if bins_sorted:
+        t.sort()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        HistoryIndex(src, dst, t, 6)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert peak / m <= 52
 
 
 def test_registry_roundtrip():
@@ -428,20 +448,23 @@ def test_history_index_huge_ids_and_bins():
 
 
 _I64 = np.iinfo(np.int64)
+_EMPTY = np.zeros(0, dtype=np.int64)
 
 
 @st.composite
 def dense_histories(draw):
     """2-6 nodes with long pair blocks, optionally at ids near 2**20 and
-    bins past 2**31; one edge always repeats at its own bin. Probes reach
-    one id past either end and bins far outside the span."""
+    bins past 2**31, and edges sorted by bin or not; one edge always
+    repeats at its own bin. Probes reach one id past either end and bins
+    far outside the span."""
     k = draw(st.integers(2, 6))
     id0 = draw(st.sampled_from([0, 2**20 - 6]))
     t0 = draw(st.sampled_from([0, 2**31 + 5, 2**40]))
     edges = draw(st.lists(st.tuples(st.integers(0, k - 1), st.integers(0, k - 1),
                                     st.integers(0, 12)), min_size=1, max_size=40))
     edges.append(edges[0])
-    edges.sort(key=lambda e: e[2])                # edge lists are sorted by bin
+    if draw(st.booleans()):
+        edges.sort(key=lambda e: e[2])            # as every graph's edges are
     src, dst, t = (np.array(c, dtype=np.int64) for c in zip(*edges))
     near = st.integers(-3, 15).map(lambda x: t0 + x)
     bins = st.one_of(near, st.sampled_from([_I64.min, -1, 0, _I64.max]))
@@ -459,6 +482,9 @@ def test_pair_row_lookups_match_brute_force(case):
     us, vs, los, his = (np.array(c, dtype=np.int64) for c in zip(*probes))
     rows = idx.pair_rows(us, vs)
 
+    def by_bin(e):                  # a pair's occurrences go by (bin, position)
+        return edges[e][2], e
+
     want = [(u, v, b) in edges for u, v, b, _ in probes]
     assert idx.occurred(us, vs, los).tolist() == want
     assert idx.occurred(None, None, los, rows=rows).tolist() == want
@@ -467,13 +493,62 @@ def test_pair_row_lookups_match_brute_force(case):
         starts, stops = idx.window_bounds(us, vs, los, his, rows=given_rows)
         open_starts, ends = idx.window_bounds(us, vs, los, None, rows=given_rows)
         for i, (u, v, lo, hi) in enumerate(probes):
-            inside = [e for e, (a, b, x) in enumerate(edges)
-                      if (a, b) == (u, v) and lo <= x <= hi]
+            inside = sorted((e for e, (a, b, x) in enumerate(edges)
+                             if (a, b) == (u, v) and lo <= x <= hi), key=by_bin)
             assert stops[i] - starts[i] == len(inside)            # never negative
             assert idx.edge_by_pair[starts[i]:stops[i]].tolist() == inside
-            later = [e for e, (a, b, x) in enumerate(edges) if (a, b) == (u, v) and x >= lo]
+            later = sorted((e for e, (a, b, x) in enumerate(edges)
+                            if (a, b) == (u, v) and x >= lo), key=by_bin)
             assert idx.edge_by_pair[open_starts[i]:ends[i]].tolist() == later
             assert idx._ts_by_pair[open_starts[i]:ends[i]].tolist() == [t[e] for e in later]
+
+
+_N_MAX = 3_037_000_499      # the most nodes whose pair keys fit in int64
+
+
+@st.composite
+def pair_sorts(draw):
+    """Pair keys of ``n`` nodes with long runs of ties, at ids near 0 and
+    near ``n``, and bins that repeat, reach the int64 ends and come sorted
+    or not."""
+    n = draw(st.sampled_from([1, 2, 5, 2**20, _N_MAX]))
+    ids = st.integers(0, n - 1) if n <= 5 else st.sampled_from([0, 1, n - 2, n - 1])
+    m = draw(st.integers(0, 200))
+    src, dst = (np.array(draw(st.lists(ids, min_size=m, max_size=m)), dtype=np.int64)
+                for _ in range(2))
+    bin_ = st.one_of(st.integers(-2, 6), st.sampled_from([_I64.min, _I64.max]))
+    t = np.array(draw(st.lists(bin_, min_size=m, max_size=m)), dtype=np.int64)
+    if draw(st.booleans()):
+        t.sort()
+    return n, src, dst, t
+
+
+def _lexsort_pair_major(key, t):
+    order = np.lexsort((t, key))
+    return order, key[order]
+
+
+@given(pair_sorts())
+@example((1, _EMPTY, _EMPTY, _EMPTY))
+@example((2, np.array([1]), np.array([0]), np.array([_I64.max])))
+@settings(max_examples=200, deadline=None)
+def test_pair_major_order_is_lexsorts(case):
+    n, src, dst, t = case
+    key = src * n + dst
+    want, want_keys = _lexsort_pair_major(key, t)
+    order, keys = graph_module._pair_major(key, t)
+    assert np.array_equal(order, want) and order.dtype == want.dtype
+    assert np.array_equal(keys, want_keys)
+    if n > 2**20:
+        return                      # an index keeps a flag per node: 3 GB here
+    idx = HistoryIndex(src, dst, t, n)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(graph_module, "_pair_major", _lexsort_pair_major)
+        ref = HistoryIndex(src, dst, t, n)
+    assert vars(idx).keys() == vars(ref).keys()
+    for name, a in vars(ref).items():
+        if isinstance(a, np.ndarray):
+            assert np.array_equal(vars(idx)[name], a), name
 
 
 def test_history_index_rejects_overflowing_pair_keys():
