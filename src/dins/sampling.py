@@ -22,7 +22,10 @@ one implementation of each mechanism.
 A :class:`SampleSet` holds one batch's samples as columns: ``src``,
 ``dst``, ``t`` and a ``code`` into :data:`VOCABULARY`, from which the
 category and the label follow. Its ``samples`` view lists them as
-:class:`Sample` tuples, built once and only when read.
+:class:`Sample` tuples, built once and only when read. A batch is
+[observed | a block per edge | loops | enhancement], each edge's block
+its sender, receiver or historical, then temporal negatives; one pass
+places every mechanism's part of a run there.
 
 All strategies are pure functions of ``(batch, graph, config, rng)``:
 they never mutate the graph, and every emitted negative is checked to
@@ -34,9 +37,10 @@ order with reproducible results. Draws are dins' own mapping of PCG64 raw
 output (:class:`_Replay`), which NumPy keeps stable with SeedSequence: the
 one-batch functions take any PCG64 generator, consume its raw outputs and
 leave its waiting half as that mapping leaves it.
-A retry is a checked draw: ``_Replay.ints`` redraws a value that forms an
-edge as it redraws one that Lemire's method rejects, for every batch of a
-run at once, so each mechanism has one draw path.
+Replacement, historical and loop retries are checked draws: ``_Replay.ints``
+redraws a value that forms an edge as it redraws one that Lemire's method
+rejects, for every batch of a run at once. Temporal retries are rounds per
+edge through ``_Replay.integers``, as their cap counts rounds.
 """
 
 from __future__ import annotations
@@ -108,7 +112,7 @@ class SampleSet:
     ``code`` (uint8), the index of each sample's category in
     :data:`VOCABULARY`.
 
-    Tally keys: ``skipped`` (random baseline pool/retry failures),
+    Tally keys: ``skipped`` (random or historical baseline failures),
     ``sender_skipped`` / ``receiver_skipped``, ``temporal_shortfall``,
     ``loop_shortfall``, ``historical_fallback``.
     """
@@ -463,8 +467,9 @@ class _Run:
     Every batch draws exactly what it would draw alone, in the same
     order: sender draws and retries, receiver draws and retries, the
     temporal uniforms and retries, loop picks and retries. Retries are
-    checked draws, made in rounds for the whole run; the work that does
-    not draw (membership checks, window occupancy, distinct timestamps,
+    checked draws for the whole run at once, save the temporal ones,
+    rounds per edge in edge order; the work that does not draw
+    (membership checks, window occupancy, distinct timestamps,
     enhancement) is done once for the whole run with array operations.
     Batches must be non-empty and sorted by bin, as
     :func:`dins.graph.batches` cuts them. Negatives are checked against
@@ -754,95 +759,79 @@ def _sample_run(run: _Run, config: SamplerConfig, strategy: str, pool_mode: str 
     """Every sample of the run, packed: (src, dst, t) columns, category
     codes, each batch's end in them, and each batch's tallies.
 
-    A batch's samples are its own edges as observed positives (with
-    ``include_positives``), its per-edge blocks (sender, receiver or
-    historical, then temporal negatives of each edge, in edge order), its loops, and its
-    enhancement positives.
+    Each mechanism gives one part, ``(owner, slot, take, (src, dst, t),
+    code)``, and its tallies: an edge's block owns sender, receiver,
+    historical and temporal parts, a batch's section the others, ``slot``
+    is a sample's place in its owner's share of the part, and the columns
+    are gathered by ``take`` when placed (None: they are the samples').
     """
     if pool_mode not in VALID_LOOP_POOL:        # before any draw
         raise ValueError(f"unknown pool_mode {pool_mode!r}")
     mech = _MECHANISMS[strategy]
     n_batches, n_edges = run.sizes.size, run.t.size
     src, dst, t, bid = run.src, run.dst, run.t, run.bid
-    lead = np.zeros(n_edges, dtype=np.int64)     # samples before an edge's temporals
-    skips = []                                   # (tally, emitted per edge)
-    senders = receivers = None
+    # owner e is edge e's block, then come each batch's observed, loops and
+    # enhancement sections
+    observed, loops, enhanced = n_edges + np.arange(3 * n_batches).reshape(3, n_batches)
+    parts, named = [], []      # (owner, slot, take, columns, code); (tally, per batch)
+
+    def per_batch(e):
+        return np.bincount(bid[e], minlength=n_batches)
+
     if "sender" in mech:
-        senders = run.replacements(False)
-        s_ok = senders >= 0
-        lead += s_ok
-        skips.append(("sender_skipped", s_ok))
+        r = run.replacements(False)
+        e = np.flatnonzero(r >= 0)
+        parts.append((e, 0, e, (r, dst, t), _CODE[RANDOM_SENDER]))
+        named.append(("sender_skipped", run.sizes - per_batch(e)))
     if "receiver" in mech:
-        receivers = run.replacements(True)
-        r_ok = receivers >= 0
-        skips.append(("skipped" if strategy == "random" else "receiver_skipped", r_ok))
-    per_edge = lead + (r_ok if receivers is not None else 0)
+        r = run.replacements(True)
+        e = np.flatnonzero(r >= 0)
+        parts.append((e, 0, e, (src, r, t), _CODE[RANDOM_RECEIVER]))
+        named.append(("skipped" if strategy == "random" else "receiver_skipped",
+                      run.sizes - per_batch(e)))
     if "historical" in mech:
-        hsrc, hdst, fell = run.historical()
-        h_ok = hsrc >= 0
-        per_edge = per_edge + h_ok
-        skips.append(("skipped", h_ok))
+        s, d, fell = run.historical()
+        e = np.flatnonzero(s >= 0)
+        parts.append((e, 0, e, (s, d, t),
+                      np.where(fell[e], _CODE[RANDOM_RECEIVER], _CODE[HISTORICAL])))
+        named += [("skipped", run.sizes - per_batch(e)), ("historical_fallback", per_batch(fell))]
     if "temporal" in mech:
-        te, tslot, tbin = run.temporal(config.q, config.t_f)
-        per_edge = per_edge + np.bincount(te, minlength=n_edges)
-    n_loops = n_enh = np.zeros(n_batches, dtype=np.int64)
+        e, slot, tbin = run.temporal(config.q, config.t_f)
+        parts.append((e, slot, None, (src[e], dst[e], tbin), _CODE[TEMPORAL]))
+        named.append(("temporal_shortfall", config.q * run.sizes - per_batch(e)))
     if "loops" in mech:
-        lb, lslot, lnode, lbin, loop_short = run.loops(pool_mode)
-        n_loops = np.bincount(lb, minlength=n_batches)
+        b, slot, node, lbin, short = run.loops(pool_mode)
+        parts.append((loops[b], slot, None, (node, node, lbin), _CODE[NEGATIVE_LOOP]))
+        named.append(("loop_shortfall", short))
     if "enhancement" in mech:
-        hb, hslot, hpos = run.enhancement(config.k)
-        n_enh = np.bincount(hb, minlength=n_batches)
-
-    # batch b is [observed | edge blocks | loops | enhancement]
-    n_obs = run.sizes if include_positives else np.zeros(n_batches, dtype=np.int64)
-    before = np.cumsum(per_edge) - per_edge
-    block = np.add.reduceat(per_edge, run.first)         # edge-block samples per batch
-    size = n_obs + block + n_loops + n_enh
-    head = np.cumsum(size) - size                        # each batch's start
-    at = (head + n_obs - before[run.first])[bid] + before  # each edge block's start
-    cols = np.empty((3, int(size.sum())), dtype=np.int64)
-    codes = np.empty(cols.shape[1], dtype=np.uint8)
-
-    def put(where, s, d, tt, category):
-        cols[0, where], cols[1, where], cols[2, where] = s, d, tt
-        codes[where] = _CODE[category]
-
-    if include_positives:
-        put(head[bid] + _rank_in_group(bid), src, dst, t, OBSERVED)
-    if senders is not None:
-        e = np.flatnonzero(s_ok)
-        put(at[e], senders[e], dst[e], t[e], RANDOM_SENDER)
-    if receivers is not None:
-        e = np.flatnonzero(r_ok)
-        put(at[e] + lead[e], src[e], receivers[e], t[e], RANDOM_RECEIVER)
-        lead = lead + r_ok
-    if "historical" in mech:
-        e = np.flatnonzero(h_ok)
-        put(at[e], hsrc[e], hdst[e], t[e], HISTORICAL)
-        codes[at[np.flatnonzero(h_ok & fell)]] = _CODE[RANDOM_RECEIVER]
-    if "temporal" in mech:
-        put(at[te] + lead[te] + tslot, src[te], dst[te], tbin, TEMPORAL)
-    loops_at = head + n_obs + block
-    if "loops" in mech:
-        put(loops_at[lb] + lslot, lnode, lnode, lbin, NEGATIVE_LOOP)
-    if "enhancement" in mech:
+        b, slot, pos = run.enhancement(config.k)
         g = run.graph
-        put((loops_at + n_loops)[hb] + hslot, g.src[hpos], g.dst[hpos], g.t[hpos],
-            POSITIVE_ENHANCEMENT)
+        parts.append((enhanced[b], slot, pos, (g.src, g.dst, g.t), _CODE[POSITIVE_ENHANCEMENT]))
+    if include_positives:      # its own owners, so it goes last: not held through the draws
+        parts.append((observed[bid], _rank_in_group(bid), None, (src, dst, t), _CODE[OBSERVED]))
 
-    named = [(name, (run.sizes - np.bincount(bid[ok], minlength=n_batches)).tolist())
-             for name, ok in skips]
-    if "historical" in mech:
-        named.append(("historical_fallback",
-                      np.bincount(bid[fell], minlength=n_batches).tolist()))
-    if "temporal" in mech:
-        named.append(("temporal_shortfall",
-                      (config.q * run.sizes
-                       - np.bincount(bid[te], minlength=n_batches)).tolist()))
-    if "loops" in mech:
-        named.append(("loop_shortfall", loop_short.tolist()))
+    # counted and ranked after the draws, so as not to add to their peak:
+    # ``place`` ranks the owners in run order
+    counts = [np.bincount(p[0], minlength=n_edges + 3 * n_batches) for p in parts]
+    size = sum(counts)                 # each owner's samples
+    head = run.first + 3 * np.arange(n_batches)
+    place = np.concatenate([np.arange(n_edges) + 3 * bid + 1, head,
+                            head + run.sizes + 1, head + run.sizes + 2])
+    ends = np.zeros_like(size)
+    ends[place] = size
+    ends = np.cumsum(ends)
+    start = ends[place] - size     # where each owner's next part goes
+    cols = np.empty((3, int(ends[-1])), dtype=np.int64)
+    codes = np.empty(cols.shape[1], dtype=np.uint8)
+    for (owner, slot, take, columns, code), count in zip(parts, counts):
+        where = start[owner] + slot
+        start += count
+        for row, c in enumerate(columns):
+            cols[row, where] = c if take is None else c[take]
+        codes[where] = code
+    named = [(name, v.tolist()) for name, v in named]
     tallies = [Counter({name: v[b] for name, v in named if v[b]}) for b in range(n_batches)]
-    return cols, codes, np.cumsum(size).tolist(), tallies
+    return cols, codes, ends[place[enhanced]].tolist(), tallies
 
 
 def _sample_sets(indices: list[int], cols: np.ndarray, codes: np.ndarray,

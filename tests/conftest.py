@@ -7,6 +7,7 @@ is checked against an independent source of truth, not against itself.
 
 from __future__ import annotations
 
+import warnings
 from collections import defaultdict
 
 import numpy as np
@@ -15,6 +16,16 @@ from hypothesis import strategies as st
 
 from dins import DynamicGraph, build_graph
 from dins.config import DEFAULT_BIN_WIDTH_SECONDS
+
+# Hypothesis imports this module to report a failing example; its libcst
+# import warns, which ``filterwarnings = ["error"]`` would turn into an
+# INTERNALERROR that stops the session. Import it once, here, quietly.
+with warnings.catch_warnings():
+    warnings.simplefilter("ignore", DeprecationWarning)
+    try:
+        import hypothesis.extra._patching  # noqa: F401
+    except ImportError:
+        pass
 
 # -- naive oracles -------------------------------------------------------------
 

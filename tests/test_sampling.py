@@ -23,7 +23,7 @@ from dins.sampling import (HISTORICAL, LOOP, NEG, NEGATIVE_LOOP, OBSERVED, POS,
                            sample_historical_baseline, sample_negative_loops,
                            sample_random_baseline, sample_sender_receiver,
                            sample_temporal)
-from dins.synthetic import graph_from_arrays, multi_month_records
+from dins.synthetic import graph_from_arrays, multi_month_records, random_records
 
 from conftest import first_seen_map, graphs, loop_first_map, triple_set
 
@@ -394,28 +394,55 @@ def test_dins_interleaves_per_edge_when_nothing_skips():
                for s in ss.samples[i + len(loops):])
 
 
-@given(graphs(max_nodes=12, max_edges=50))
+def contract_sums(strategy, batch, ss, q):
+    """(emitted + tallied, what it must equal) for each identity of ``strategy``."""
+    c, tl, kp = ss.by_category(), ss.tallies, len(batch)
+    sender = (c[RANDOM_SENDER] + tl["sender_skipped"], kp)
+    receiver = (c[RANDOM_RECEIVER] + tl["receiver_skipped"], kp)
+    temporal = (c[TEMPORAL] + tl["temporal_shortfall"], q * kp)
+    loops = (c[NEGATIVE_LOOP] + tl["loop_shortfall"], batch.timestamps.size)
+    return {"random": [(c[RANDOM_RECEIVER] + tl["skipped"], kp)],
+            "sender_receiver": [sender, receiver],
+            "historical": [(c[HISTORICAL] + c[RANDOM_RECEIVER] + tl["skipped"], kp)],
+            "temporal": [temporal],
+            "loops": [loops],
+            "dins": [sender, receiver, temporal, loops]}[strategy]
+
+
+EMITS = {"random": {RANDOM_RECEIVER}, "historical": {HISTORICAL, RANDOM_RECEIVER},
+         "sender_receiver": {RANDOM_SENDER, RANDOM_RECEIVER}, "temporal": {TEMPORAL},
+         "loops": {NEGATIVE_LOOP},
+         "dins": {RANDOM_SENDER, RANDOM_RECEIVER, TEMPORAL, NEGATIVE_LOOP,
+                  POSITIVE_ENHANCEMENT}}
+
+
+@given(graphs(max_nodes=12, max_edges=50), st.sampled_from(["batch", "per-t"]))
 @settings(max_examples=40, deadline=None)
-def test_dins_contracts_hold_on_random_graphs(g):
+def test_dins_contracts_hold_on_random_graphs(g, pool_mode):
+    # every strategy, dins included, keeps its per-batch identities
     cfg = SamplerConfig(q=3, t_f=20, k=9, seed=4)
     triples = triple_set(g)
-    for batch, ss in zip(batches(g, cfg.k), sample_batches(g, "dins", cfg)):
-        counts = Counter(s.category for s in ss.samples)
-        kp = len(batch)
-        assert counts[RANDOM_SENDER] + ss.tallies.get("sender_skipped", 0) == kp
-        assert counts[RANDOM_RECEIVER] + ss.tallies.get("receiver_skipped", 0) == kp
-        assert (counts[TEMPORAL] + ss.tallies.get("temporal_shortfall", 0)
-                == cfg.q * kp)
-        assert (counts[NEGATIVE_LOOP] + ss.tallies.get("loop_shortfall", 0)
-                == batch.timestamps.size)
-        assert counts[POSITIVE_ENHANCEMENT] <= cfg.k
-        for s in ss.samples:
-            if s.label == NEG:
-                assert (s.src, s.dst, s.t) not in triples
-            else:
-                assert s.category == POSITIVE_ENHANCEMENT
-                assert (s.src, s.dst, s.t) in triples
-                assert s.t > batch.t_max
+    for strategy in sorted(STRATEGIES):
+        kw = {"pool_mode": pool_mode} if strategy in ("dins", "loops") else {}
+        for batch, ss in zip(batches(g, cfg.k), sample_batches(g, strategy, cfg, **kw)):
+            for emitted, want in contract_sums(strategy, batch, ss, cfg.q):
+                assert emitted == want, strategy
+            counts = ss.by_category()
+            assert set(counts) <= EMITS[strategy], strategy
+            assert counts[POSITIVE_ENHANCEMENT] <= cfg.k
+            if strategy == "historical":
+                assert counts[RANDOM_RECEIVER] <= ss.tallies["historical_fallback"]
+            # sections: edge blocks, then loops, then enhancement
+            section = [{NEGATIVE_LOOP: 1, POSITIVE_ENHANCEMENT: 2}.get(s.category, 0)
+                       for s in ss.samples]
+            assert section == sorted(section), strategy
+            for s in ss.samples:
+                if s.label == NEG:
+                    assert (s.src, s.dst, s.t) not in triples, strategy
+                else:
+                    assert s.category == POSITIVE_ENHANCEMENT
+                    assert (s.src, s.dst, s.t) in triples
+                    assert s.t > batch.t_max
 
 
 # -- stream plumbing --------------------------------------------------------------
@@ -745,15 +772,29 @@ def test_sampling_with_bins_past_2_31():
                 assert b.tallies == a.tallies
 
 
-def test_sample_batches_observed_prefix(tiny_graph):
-    cfg = SamplerConfig(k=4, seed=0)
-    for batch, ss in zip(batches(tiny_graph, cfg.k),
-                         sample_batches(tiny_graph, "random", cfg,
-                                        include_positives=True)):
-        head = ss.samples[:len(batch)]
-        assert all(s.label == POS and s.category == OBSERVED for s in head)
-        assert [(s.src, s.dst, s.t) for s in head] == \
-            list(zip(batch.src.tolist(), batch.dst.tolist(), batch.t.tolist()))
+def test_sample_batches_observed_prefix():
+    # several batches in one run: each is its edges as observed, then
+    # exactly the negatives-only set, for every strategy and pool mode
+    g = build_graph(random_records(15, 80, seed=3, t_span_bins=30, loop_fraction=0.2))
+    cfg = SamplerConfig(q=3, t_f=12, k=7, seed=5)
+    blocks = batches(g, cfg.k)
+    assert len(blocks) > 1 and sampling.RUN_EDGES >= g.m
+    for strategy in sorted(STRATEGIES):
+        for pool_mode in ("batch", "per-t") if strategy in ("dins", "loops") else ("batch",):
+            kw = {"pool_mode": pool_mode}
+            plain = list(sample_batches(g, strategy, cfg, **kw))
+            full = list(sample_batches(g, strategy, cfg, include_positives=True, **kw))
+            assert len(plain) == len(full) == len(blocks)
+            for batch, neg, ss in zip(blocks, plain, full):
+                kp = len(batch)
+                head = ss.samples[:kp]
+                assert all(s.label == POS and s.category == OBSERVED for s in head)
+                assert [(s.src, s.dst, s.t) for s in head] == \
+                    list(zip(batch.src.tolist(), batch.dst.tolist(), batch.t.tolist()))
+                for col in ("src", "dst", "t", "code"):
+                    assert np.array_equal(getattr(ss, col)[kp:], getattr(neg, col)), strategy
+                assert ss.tallies == neg.tallies
+                assert ss.origin_batch == neg.origin_batch == batch.index
 
 
 def test_sample_set_columns_and_view(tiny_graph):
