@@ -170,6 +170,7 @@ class PipelineConfig:
     min_month_edges: int = 0
 
     def __post_init__(self):
+        from .sampling import STRATEGIES    # sampling imports this module
         self._check_types()
         self.strategies = tuple(self.strategies)
         self.columns = tuple(self.columns)
@@ -178,6 +179,11 @@ class PipelineConfig:
         # a split with val_fraction 1 has no test edges to evaluate
         if not 0.0 <= self.val_fraction < 1.0:
             raise ValueError("val_fraction must be in [0, 1)")
+        if not self.strategies:
+            raise ValueError("strategies must name at least one strategy")
+        for s in self.strategies:
+            if s not in STRATEGIES:
+                raise ValueError(f"unknown strategy {s!r}; choose from {sorted(STRATEGIES)}")
         repeated = sorted({s for s in self.strategies if self.strategies.count(s) > 1})
         if repeated:
             raise ValueError(f"strategies must not repeat: {', '.join(repeated)}")

@@ -125,14 +125,22 @@ def _readonly(a) -> np.ndarray:
     return _freeze(np.array(a, dtype=np.int64))[0]
 
 
+def _check_ids(n: int, *ids: np.ndarray) -> None:
+    """``ValueError`` unless every int64 id lies in ``[0, n)``: read as uint64
+    a negative id is 2**63 or more, so one pass checks both ends."""
+    for a in ids:
+        if a.size and a.view(np.uint64).max() >= n:
+            raise ValueError(f"node ids must lie in [0, {n})")
+
+
 class DynamicGraph:
     """Immutable directed temporal edge multiset.
 
     ``src``, ``dst``, ``t`` (bin) and ``raw`` (epoch seconds) are
     parallel read-only int64 arrays, stably sorted by bin; an argument
     that is C-contiguous int64 and read-only down its ``.base`` chain is
-    kept as it is, any other copied once. Duplicate records are kept;
-    they are distinct members of the multiset.
+    kept as it is, any other copied once. Node ids lie in ``[0, n)``.
+    Duplicate records are kept; they are distinct members of the multiset.
     """
 
     def __init__(self, registry: NodeRegistry, src, dst, t, raw,
@@ -144,6 +152,7 @@ class DynamicGraph:
         m = self.src.size
         if not (self.dst.size == self.t.size == self.raw.size == m):
             raise ValueError("edge arrays must have equal length")
+        _check_ids(self.n, self.src, self.dst)
         if m and not (np.diff(self.t) >= 0).all():
             raise ValueError("edges must be sorted by bin")
 
@@ -328,11 +337,11 @@ class HistoryIndex:
     Edges are regrouped pair-major, in (pair, bin, position) order.
     ``_pair_keys`` holds the distinct directed pairs, encoded
     ``src * n + dst`` and sorted; a pair's row is its position there.
-    Row ``r`` owns the block ``_offsets[r]:_offsets[r + 1]`` of
-    ``_ts_by_pair`` (its occurrence bins, ascending) and of
+    Row ``r`` owns the block ``_offsets[r]:_offsets[r + 1]`` of the
+    attributes ``bins_by_pair`` (its occurrence bins, ascending) and
     ``edge_by_pair`` (their edge positions, ascending within a bin, and
     within the block wherever bins ascend with position, as they do for
-    every graph and split index).
+    every graph and split index). Node ids lie in ``[0, n_nodes)``.
     A lookup resolves each probe's pair to its row once, searching the
     probes in ascending key order, and answers every bin question with
     a binary search inside that row's block; there is no joint
@@ -347,41 +356,34 @@ class HistoryIndex:
 
     def __init__(self, src, dst, t, n_nodes: int):
         src, dst, t = (np.asarray(c, dtype=np.int64) for c in (src, dst, t))
-        self.n_nodes = int(n_nodes)
-        self.n_edges = int(src.size)
-        n = max(self.n_nodes, 1)
+        self.n_nodes = n = int(n_nodes)
         if n * n > 2 ** 63:
             raise ValueError(f"{n} nodes: pair keys src * n + dst overflow int64")
-        self._enc_n = n
+        _check_ids(n, src, dst)
 
         # only the helper holds the unsorted keys, so they go once sorted
         order, key = _pair_major(src * n + dst, t)
-        self._ts_by_pair = t[order]
+        self.bins_by_pair = t[order]
         # a pair's block starts wherever the sorted key changes
         cut = np.ones(key.size + 1, dtype=bool)
         np.not_equal(key[1:], key[:-1], out=cut[1:-1])
         self._offsets = np.flatnonzero(cut)
         self._pair_keys = key[self._offsets[:-1]]
         del key, cut            # freed before the loop history makes its temporaries
-        # edge positions in the same (pair, bin, position) order as _ts_by_pair
-        self._edge_by_pair = order
+        # edge positions in the same (pair, bin, position) order as bins_by_pair
+        self.edge_by_pair = order
         self._prior = None      # see _prior_order
 
         # Loop history: key == u*(n+1) exactly when src == dst == u.
-        if self.n_nodes:
-            loop_rows = np.flatnonzero(self._pair_keys % (n + 1) == 0)
-            loop_nodes = self._pair_keys[loop_rows] // (n + 1)
-            loop_first = self._ts_by_pair[self._offsets[loop_rows]]
-            lord = np.argsort(loop_first, kind="stable")
-            self._loop_first_t = loop_first[lord]
-            self._loop_nodes_by_first = loop_nodes[lord]
-            never = np.ones(self.n_nodes, dtype=bool)
-            never[loop_nodes] = False
-            self._never_looped = np.flatnonzero(never).astype(np.int64)
-        else:
-            self._loop_first_t = _EMPTY_I64
-            self._loop_nodes_by_first = _EMPTY_I64
-            self._never_looped = _EMPTY_I64
+        loop_rows = np.flatnonzero(self._pair_keys % (n + 1) == 0)
+        loop_nodes = self._pair_keys[loop_rows] // (n + 1)
+        loop_first = self.bins_by_pair[self._offsets[loop_rows]]
+        lord = np.argsort(loop_first, kind="stable")
+        self._loop_first_t = loop_first[lord]
+        self._loop_nodes_by_first = loop_nodes[lord]
+        never = np.ones(n, dtype=bool)
+        never[loop_nodes] = False
+        self._never_looped = np.flatnonzero(never).astype(np.int64)
 
     # -- pair occurrence ------------------------------------------------
 
@@ -407,13 +409,13 @@ class HistoryIndex:
 
     def _search(self, lo: np.ndarray, hi: np.ndarray, vals: np.ndarray,
                 right: bool = False) -> np.ndarray:
-        """Per i, the first position in ``[lo[i], hi[i])`` of ``_ts_by_pair``
+        """Per i, the first position in ``[lo[i], hi[i])`` of ``bins_by_pair``
         whose bin is >= ``vals[i]`` (> with ``right``); ``hi[i]`` if none.
 
         One vectorized binary search; each round keeps only the probes
         whose range is still open, so a long block costs only its own.
         """
-        ts = self._ts_by_pair
+        ts = self.bins_by_pair
         out = lo.copy()
         live = np.flatnonzero(lo < hi)
         a, b, v = lo[live], hi[live], vals[live]
@@ -427,18 +429,6 @@ class HistoryIndex:
             more = ~done
             live, a, b, v = live[more], a[more], b[more], v[more]
         return out
-
-    @property
-    def edge_by_pair(self) -> np.ndarray:
-        """Edge positions aligned with the bounds of :meth:`window_bounds`, in
-        (pair, bin, position) order: ascending within a pair wherever bins
-        ascend with position, as in every graph and split index."""
-        return self._edge_by_pair
-
-    @property
-    def bins_by_pair(self) -> np.ndarray:
-        """Occurrence bins aligned with the bounds of :meth:`window_bounds`."""
-        return self._ts_by_pair
 
     def window_bounds(self, us, vs, los, his, rows=None) -> tuple[np.ndarray, np.ndarray]:
         """Where the occurrences of each (u_i, v_i) within [lo_i, hi_i] are kept.
@@ -481,7 +471,7 @@ class HistoryIndex:
         end = self._offsets[r + 1]
         pos = self._search(self._offsets[r], end, t)
         inside = pos < end
-        out[known[inside]] = self._ts_by_pair[pos[inside]] == t[inside]
+        out[known[inside]] = self.bins_by_pair[pos[inside]] == t[inside]
         return out
 
     # -- prior pairs (for the historical baseline) ----------------------
@@ -491,7 +481,7 @@ class HistoryIndex:
         on the first call. Not a cached_property: on CPython 3.11 its write
         through ``__dict__`` slows every later attribute load on the index."""
         if self._prior is None:
-            first_t = self._ts_by_pair[self._offsets[:-1]]
+            first_t = self.bins_by_pair[self._offsets[:-1]]
             ford = np.argsort(first_t, kind="stable")
             self._prior = first_t[ford], self._pair_keys[ford]
         return self._prior
@@ -503,7 +493,7 @@ class HistoryIndex:
 
     def prior_pairs(self, ranks) -> tuple[np.ndarray, np.ndarray]:
         """``(src, dst)`` of the ``ranks[i]``-th distinct pair in order of first occurrence."""
-        return np.divmod(self._prior_order()[1][ranks], self._enc_n)
+        return np.divmod(self._prior_order()[1][ranks], self.n_nodes)
 
     # -- loop history ----------------------------------------------------
 

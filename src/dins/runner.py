@@ -32,7 +32,7 @@ from .graph import DynamicGraph
 from .sample_io import (atomic_open, eval_lines, load_dataset, read_name_list,
                         read_scores_jsonl, write_json, write_samples_jsonl,
                         write_split_dir)
-from .sampling import STRATEGIES, sample_batches
+from .sampling import sample_batches
 from .scorers import make_scorer
 from .split import load_windows_file, make_split, monthly_schedule, window_pairs
 
@@ -166,10 +166,6 @@ def run_experiment(config: PipelineConfig, out_dir: str | Path, *,
                    jobs: int = 1,
                    graph: Optional[DynamicGraph] = None) -> dict:
     """Execute the full pipeline; returns the written summary dict."""
-    for strategy in config.strategies:
-        if strategy not in STRATEGIES:
-            raise ValueError(f"unknown strategy {strategy!r}; expected one of "
-                             f"{sorted(STRATEGIES)}")
     if graph is None:
         graph = load_configured(config)
     schedule, pairs = window_schedule(graph, config.windows)

@@ -579,27 +579,24 @@ class _Run:
             bins.append(tn[keep])
             rejection[part[avail[part] > q]] = True
         rej = np.flatnonzero(rejection)
-        if rej.size:
-            cand = t[rej, None] + (u01.reshape(-1, q)[rej] * width[rej, None]).astype(np.int64)
-            taken = idx.occurred(None, None, cand.ravel(),
-                                 rows=np.repeat(rows[rej], q)).reshape(cand.shape)
-            # a repeated candidate counts once, at its first draw
-            order = np.argsort(cand, axis=1, kind="stable")
-            ranked = np.take_along_axis(cand, order, axis=1)
-            dup = np.zeros(cand.shape, dtype=bool)
-            np.put_along_axis(dup, order[:, 1:], ranked[:, 1:] == ranked[:, :-1], axis=1)
-            acc = ~(taken | dup)
-            rows, cols = np.nonzero(acc)
-            edges.append(rej[rows])
-            slots.append((np.cumsum(acc, axis=1) - 1)[rows, cols])
-            bins.append(cand[rows, cols])
-            short = np.flatnonzero(acc.sum(axis=1) < q)
-            if short.size:
-                for col, more in zip((edges, slots, bins), self._temporal_rounds(
-                        rej[short], cand[short], acc[short], hi, starts, stops, q)):
-                    col.append(more)
-        if not edges:
-            return (np.zeros(0, dtype=np.int64),) * 3
+        cand = t[rej, None] + (u01.reshape(-1, q)[rej] * width[rej, None]).astype(np.int64)
+        taken = idx.occurred(None, None, cand.ravel(),
+                             rows=np.repeat(rows[rej], q)).reshape(cand.shape)
+        # a repeated candidate counts once, at its first draw
+        order = np.argsort(cand, axis=1, kind="stable")
+        ranked = np.take_along_axis(cand, order, axis=1)
+        dup = np.zeros(cand.shape, dtype=bool)
+        np.put_along_axis(dup, order[:, 1:], ranked[:, 1:] == ranked[:, :-1], axis=1)
+        acc = ~(taken | dup)
+        rows, cols = np.nonzero(acc)
+        edges.append(rej[rows])
+        slots.append((np.cumsum(acc, axis=1) - 1)[rows, cols])
+        bins.append(cand[rows, cols])
+        short = np.flatnonzero(acc.sum(axis=1) < q)
+        if short.size:
+            for col, more in zip((edges, slots, bins), self._temporal_rounds(
+                    rej[short], cand[short], acc[short], hi, starts, stops, q)):
+                col.append(more)
         return np.concatenate(edges), np.concatenate(slots), np.concatenate(bins)
 
     def _temporal_rounds(self, edges, cand, acc, hi, starts, stops, q):
@@ -618,7 +615,7 @@ class _Run:
         span = int((top - lo).max())
         starts, stops = starts[edges], stops[edges]
         bid, need = self.bid[edges], q - acc.sum(axis=1)
-        by_pair, times, integers = self.idx.edge_by_pair, self.graph.t, self.draws.integers
+        bins, integers = self.idx.bins_by_pair, self.draws.integers
         ends, step = np.cumsum(stops - starts + q), max(1, _BUDGET // 16)
         cuts = np.searchsorted(ends, np.arange(step, ends[-1], step)).tolist()
         out_e: list[int] = []
@@ -626,7 +623,7 @@ class _Run:
         out_bin: list[int] = []
         for a, z in zip([0] + cuts, cuts + [edges.size]):
             rows = np.repeat(np.arange(a, z), stops[a:z] - starts[a:z])
-            occupied = times[by_pair[starts[rows] + _rank_in_group(rows)]]
+            occupied = bins[starts[rows] + _rank_in_group(rows)]
             taken = set((rows * span + occupied - lo[rows]).tolist())
             r, c = np.nonzero(acc[a:z])
             taken.update(((r + a) * span + cand[r + a, c] - lo[r + a]).tolist())
@@ -726,15 +723,17 @@ class _Run:
         "Later" means a bin strictly after the batch's last bin. Returns
         (batch, slot, edge position), in edge order within each batch.
         """
-        o = np.lexsort((self.rows, self.bid))
-        r, b = self.rows[o], self.bid[o]
-        first = np.ones(o.size, dtype=bool)
-        first[1:] = (r[1:] != r[:-1]) | (b[1:] != b[:-1])
-        r, b = r[first], b[first]
+        # each batch's distinct pairs, keyed batch * m + row (a row is below the
+        # graph's m edges); sorted, as np.unique took 20 times as long (16k keys)
+        m = self.graph.m
+        key = np.sort(self.bid * m + self.rows)
+        new = np.ones(key.size, dtype=bool)
+        new[1:] = key[1:] != key[:-1]
+        b, r = np.divmod(key[new], m)
         # the window runs to the graph's last bin: to the end of each block
         starts, stops = self.idx.window_bounds(None, None, self.t_max[b] + 1, None, rows=r)
         counts = np.minimum(stops - starts, k)
-        by_pair, m = self.idx.edge_by_pair, self.graph.m
+        by_pair = self.idx.edge_by_pair
         if counts.sum() <= _BUDGET:
             return _earliest(by_pair, b, starts, counts, k, m)
         cuts = np.searchsorted(b, np.arange(self.sizes.size + 1)).tolist()

@@ -26,7 +26,7 @@ from dins.sample_io import (IngestError, atomic_open, eval_lines, load_graph,
                             read_edge_csv, read_samples_jsonl,
                             read_scores_jsonl, sample_key, sample_keys, save_graph,
                             write_samples_jsonl, write_scores_jsonl)
-from dins.sampling import NEG, OBSERVED, POS
+from dins.sampling import NEG, OBSERVED, POS, STRATEGIES
 from dins.synthetic import multi_month_records
 
 
@@ -557,6 +557,22 @@ def test_graph_npz_roundtrip(tmp_path):
         assert all(type(name) is str for name in h.registry.names())
 
 
+def test_load_graph_refuses_a_cache_with_ids_past_its_names(tmp_path):
+    # a dst of 7 beside three names loaded, and the index aliased its pairs
+    path = tmp_path / "g.npz"
+    save_graph(path, build_graph([("a", "b", 0), ("b", "c", 300)]))
+    with np.load(path) as z:
+        arrays = dict(z)
+    for bad in (7, -1):
+        arrays["dst"] = np.array([1, bad])
+        np.savez_compressed(path, **arrays)
+        with pytest.raises(ValueError, match=r"node ids must lie in \[0, 3\)"):
+            load_graph(path)
+        code, out, err = run_cli("stats", str(path))
+        assert (code, out) == (1, "")
+        assert json.loads(err)["message"] == "node ids must lie in [0, 3)"
+
+
 def test_edge_csv_error_cites_line_number(tmp_path):
     path = tmp_path / "bad.csv"
     path.write_text("src,dst,timestamp\nalice,bob,notatime\n")
@@ -890,6 +906,25 @@ def test_run_rejects_a_repeated_strategy(months_csv, tmp_path):
     assert not (tmp_path / "run").exists()
     with pytest.raises(ValueError, match="strategies must not repeat: loops, random"):
         PipelineConfig(dataset="x", strategies=["random", "loops", "random", "loops"])
+
+
+@pytest.mark.parametrize("strategies, message", [
+    ([], "strategies must name at least one strategy"),
+    (["dins", "nope"], f"unknown strategy 'nope'; choose from {sorted(STRATEGIES)}"),
+], ids=["empty", "unknown"])
+def test_run_rejects_a_bad_strategy_list(months_csv, tmp_path, strategies, message):
+    # an empty list in a config file ran to exit 0 and wrote splits and eval
+    # exports but no samples, reports or ranks
+    cfg_path = tmp_path / "c.json"
+    cfg_path.write_text(json.dumps({"dataset": str(months_csv), "strategies": strategies}))
+    for args in (["--config", str(cfg_path)],
+                 [str(months_csv), "--strategies", ",".join(strategies)]):
+        code, out, err = run_cli("run", *args, "--out-dir", str(tmp_path / "run"))
+        assert (code, out) == (1, "")
+        assert json.loads(err)["message"] == message
+        assert not (tmp_path / "run").exists()
+    with pytest.raises(ValueError, match=re.escape(message)):
+        PipelineConfig(dataset="x", strategies=strategies)
 
 
 def test_run_rejects_val_fraction_one(months_csv, tmp_path):

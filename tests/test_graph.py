@@ -16,7 +16,7 @@ from dins import graph as graph_module
 from dins import sample_io, split
 from dins.config import derive_rng
 from dins.graph import HistoryIndex
-from dins.synthetic import multi_month_records, random_graph, random_records
+from dins.synthetic import graph_from_arrays, multi_month_records, random_graph, random_records
 
 from conftest import (first_seen_map, graphs, loop_first_map, pair_times_map,
                       record_lists, triple_set)
@@ -375,7 +375,7 @@ def test_history_index_matches_oracles(g):
     starts, stops = idx.window_bounds(w_us, w_vs, w_lo, w_hi)
     for i, (u, v) in enumerate(pairs):
         expect = [x for x in times[(u, v)] if w_lo[i] <= x <= w_hi[i]]
-        assert idx._ts_by_pair[starts[i]:stops[i]].tolist() == expect
+        assert idx.bins_by_pair[starts[i]:stops[i]].tolist() == expect
 
     # prior distinct pairs strictly before t
     for t in t_probe:
@@ -500,7 +500,7 @@ def test_pair_row_lookups_match_brute_force(case):
             later = sorted((e for e, (a, b, x) in enumerate(edges)
                             if (a, b) == (u, v) and x >= lo), key=by_bin)
             assert idx.edge_by_pair[open_starts[i]:ends[i]].tolist() == later
-            assert idx._ts_by_pair[open_starts[i]:ends[i]].tolist() == [t[e] for e in later]
+            assert idx.bins_by_pair[open_starts[i]:ends[i]].tolist() == [t[e] for e in later]
 
 
 _N_MAX = 3_037_000_499      # the most nodes whose pair keys fit in int64
@@ -554,3 +554,23 @@ def test_pair_major_order_is_lexsorts(case):
 def test_history_index_rejects_overflowing_pair_keys():
     with pytest.raises(ValueError, match="overflow"):
         HistoryIndex(np.zeros(0), np.zeros(0), np.zeros(0), 2**32)
+
+
+@pytest.mark.parametrize("src, dst", [(0, 3), (-1, 2), (3, 0), (2, -1)])
+def test_history_index_refuses_ids_outside_the_node_range(src, dst):
+    # among three nodes, 0 -> 3 was keyed 0 * 3 + 3, the key of 1 -> 0: the
+    # index said that (1, 0, 5) occurred and (0, 3, 5) did not
+    with pytest.raises(ValueError, match=r"node ids must lie in \[0, 3\)"):
+        HistoryIndex([0, src], [1, dst], [5, 5], 3)
+    idx = HistoryIndex([0, 2], [1, 2], [5, 5], 3)          # the last id, 2, is in range
+    assert idx.occurred([0, 2, 1], [1, 2, 0], [5, 5, 5]).tolist() == [True, True, False]
+
+
+def test_graph_refuses_ids_outside_the_node_range():
+    # a negative id wrapped in subgraph's new_of_old and in the pair keys
+    for bad in (3, -1):
+        with pytest.raises(ValueError, match=r"node ids must lie in \[0, 3\)"):
+            graph_from_arrays([0, 1], [2, bad], [0, 1], 3)
+        with pytest.raises(ValueError, match=r"node ids must lie in \[0, 3\)"):
+            graph_from_arrays([bad, 1], [2, 0], [0, 1], 3)
+    assert graph_from_arrays([0, 1], [2, 0], [0, 1], 3).m == 2
